@@ -498,10 +498,15 @@ def run(cfg: ExperimentConfig) -> dict:
 
     Returns the summary mapping.  Output files are
     ``<experiment>_trace.csv`` and ``<experiment>_summary.txt`` inside
-    ``cfg.output_dir`` (created if needed).
+    ``cfg.output_dir`` (created if needed).  Raises
+    :class:`FloatingPointError`, before anything is written, when a float
+    summary value is not finite.
     """
     runner, _ = EXPERIMENTS[cfg.experiment]
     summary, trace = runner(cfg.params, cfg.seed)
+    bad = [key for key, value in summary.items() if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise FloatingPointError(f"non-finite summary values: {', '.join(bad)}")
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg.experiment

@@ -7,14 +7,17 @@ Four model families cover every trace the experiments produce:
 * ``sinusoid-decay``       a * cos(2 pi f x + phi) * exp(-rate * x) + c
 * ``lorentzian``           a / (1 + (2 (x - x0) / fwhm)^2) + c
 
-Optimization is derivative-free (Nelder-Mead, restarted once to refresh
-the simplex) on data rescaled to order unity, with fixed starting
-heuristics per model: the sinusoid frequency is seeded from the discrete
-spectrum peak, exponential time constants from 1/e crossings with a small
-deterministic multistart.  Identical inputs give bit-identical results.
+Each fit is one Levenberg-Marquardt run (MINPACK through
+``scipy.optimize.least_squares(method="lm")``) on data rescaled to order
+unity, from a single seeded start per model: the sinusoid frequency comes
+from the discrete spectrum peak, exponential time constants from 1/e
+crossings, and the biexponential amplitudes and offset from a linear
+least-squares solve at the seeded rates.  An optimizer that stops without
+converging raises :class:`FitError`.  Identical inputs give bit-identical
+results.
 
-One-sigma uncertainties come from the numerical Jacobian at the optimum
-(Gauss-Newton covariance); they are zero for an exact fit.
+One-sigma uncertainties are the Gauss-Newton covariance built from the
+optimizer's Jacobian at the optimum; they are zero for an exact fit.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 
 class FitError(RuntimeError):
-    """Raised for degenerate or insufficient fit input."""
+    """Raised for degenerate or insufficient fit input, or a fit that did not converge."""
 
 
 @dataclass(frozen=True)
@@ -69,27 +72,30 @@ def _crossing_scale(x, z, level):
     return (x[-1] - x[0]) / 3.0 if x[-1] > x[0] else 1.0
 
 
-def _seeds_single_exponential(x, y):
+def _seed_single_exponential(x, y):
     c = float(y[-1])
     a = float(y[0] - c)
     tau = _crossing_scale(x, y - c, abs(a) / np.e if a else 1.0)
-    return [np.array([a, 1.0 / tau * s, c]) for s in (0.3, 1.0, 3.0)]
+    return np.array([a, 1.0 / tau, c])
 
 
-def _seeds_biexponential(x, y):
+def _seed_biexponential(x, y):
     c = float(y[-1])
     z = y - c
-    peak = float(z[np.argmax(np.abs(z))])
-    tau_slow = _crossing_scale(x, z, abs(peak) / np.e if peak else 1.0)
-    seeds = []
-    for slow in (tau_slow, 2.0 * tau_slow):
-        for ratio in (4.0, 10.0, 30.0):
-            fast = slow / ratio
-            seeds.append(np.array([peak, 1.0 / slow, float(z[0]) - peak, 1.0 / fast, c]))
-    return seeds
+    i = int(np.argmax(np.abs(z)))
+    peak = float(z[i])
+    # the slow 1/e time is read after the peak, past any fast rise
+    r1 = 1.0 / _crossing_scale(x[i:], z[i:], abs(peak) / np.e if peak else 1.0)
+    r2 = 4.0 * r1
+    # Amplitudes and offset are solved for at the seeded rates.  A fast
+    # amplitude read off the peak is zero when the trace peaks at x = 0, and
+    # along a zero amplitude rate2 has no gradient.
+    basis = np.stack([np.exp(-r1 * x), np.exp(-r2 * x), np.ones_like(x)], axis=1)
+    a1, a2, c = np.linalg.lstsq(basis, y, rcond=None)[0]
+    return np.array([a1, r1, a2, r2, c])
 
 
-def _seeds_sinusoid_decay(x, y):
+def _seed_sinusoid_decay(x, y):
     n = len(x)
     dx = (x[-1] - x[0]) / (n - 1)
     spec = np.fft.rfft(y - y.mean())
@@ -98,10 +104,10 @@ def _seeds_sinusoid_decay(x, y):
     phi0 = float(np.angle(spec[k]))
     a0 = float(np.sqrt(2.0) * np.std(y))
     c0 = float(y.mean())
-    return [np.array([a0, f0, phi0, r0, c0]) for r0 in (0.0, 1.0)]
+    return np.array([a0, f0, phi0, 0.0, c0])
 
 
-def _seeds_lorentzian(x, y):
+def _seed_lorentzian(x, y):
     c = 0.5 * float(y[0] + y[-1])
     z = y - c
     i = int(np.argmax(np.abs(z)))
@@ -112,23 +118,17 @@ def _seeds_lorentzian(x, y):
         w = max(float(inside.sum()) * (x[-1] - x[0]) / max(len(x) - 1, 1), 1e-3)
     else:
         w = (x[-1] - x[0]) / 4.0
-    return [np.array([a, x0, w, c]), np.array([a, x0, w / 4.0, c])]
+    return np.array([a, x0, w, c])
 
 
 _MODELS = {
-    "single-exponential": (_f_single_exponential, _seeds_single_exponential, ("amplitude", "rate", "offset")),
-    "biexponential": (_f_biexponential, _seeds_biexponential, ("amp1", "rate1", "amp2", "rate2", "offset")),
-    "sinusoid-decay": (_f_sinusoid_decay, _seeds_sinusoid_decay, ("amplitude", "frequency", "phase", "decay_rate", "offset")),
-    "lorentzian": (_f_lorentzian, _seeds_lorentzian, ("amplitude", "center", "fwhm", "offset")),
+    "single-exponential": (_f_single_exponential, _seed_single_exponential, ("amplitude", "rate", "offset")),
+    "biexponential": (_f_biexponential, _seed_biexponential, ("amp1", "rate1", "amp2", "rate2", "offset")),
+    "sinusoid-decay": (_f_sinusoid_decay, _seed_sinusoid_decay, ("amplitude", "frequency", "phase", "decay_rate", "offset")),
+    "lorentzian": (_f_lorentzian, _seed_lorentzian, ("amplitude", "center", "fwhm", "offset")),
 }
 
 MODEL_NAMES = tuple(_MODELS)
-
-
-def _minimize(cost, p0):
-    opts = dict(xatol=1e-14, fatol=1e-30, maxiter=20000, maxfev=20000)
-    res = minimize(cost, p0, method="Nelder-Mead", options=opts)
-    return minimize(cost, res.x, method="Nelder-Mead", options=opts)
 
 
 def _as_xy(trace):
@@ -156,7 +156,7 @@ def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> Fit
     ``tau_slow``/``tau_fast``, sorted) alongside the raw rates.  Constant
     input is degenerate for every model; it yields a zero-amplitude result
     rather than an error.  Raises :class:`FitError` for non-finite data,
-    too few points or an unknown model.
+    too few points, an unknown model or an optimizer that did not converge.
     """
     if model not in _MODELS:
         raise FitError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
@@ -177,27 +177,25 @@ def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> Fit
     u = (x - x0) / xs
     v = y / ys
 
-    def cost(p):
-        r = fn(p, u) - v
-        return float(r @ r)
-
+    p0 = seeder(u, v)
     if initial_guess is not None:
-        heuristic = _scale_params(model, dict(zip(names, seeder(u, v)[0])), x0, xs, ys, forward=False)
+        heuristic = _scale_params(model, dict(zip(names, p0)), x0, xs, ys, forward=False)
         merged = _merge_guess(model, heuristic, initial_guess)
-        starts = [_scale_params(model, merged, x0, xs, ys, forward=True)]
-    else:
-        starts = seeder(u, v)
+        p0 = _scale_params(model, merged, x0, xs, ys, forward=True)
 
-    best = None
-    for p0 in starts:
-        res = _minimize(cost, p0)
-        if best is None or res.fun < best.fun:
-            best = res
-    if not np.all(np.isfinite(best.x)):
+    try:
+        res = least_squares(lambda p: fn(p, u) - v, p0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    except ValueError as exc:  # e.g. an initial_guess whose residuals are not finite
+        raise FitError(str(exc)) from None
+    if res.status <= 0:
+        raise FitError(f"{model} fit did not converge: {res.message}")
+    if not np.all(np.isfinite(res.x)):
         raise FitError("optimization diverged")
 
-    popt = _canonical(model, best.x)
-    sigma = _uncertainties(fn, popt, u, v)
+    # Gauss-Newton covariance from the optimizer's Jacobian at res.x
+    s2 = 2.0 * res.cost / max(len(u) - len(names), 1)
+    cov = s2 * np.linalg.pinv(res.jac.T @ res.jac)
+    popt, sigma = _canonical(model, res.x, np.sqrt(np.clip(np.diag(cov), 0.0, None)))
     params = _scale_params(model, dict(zip(names, popt)), x0, xs, ys, forward=False)
     uncert = _scale_params(model, dict(zip(names, sigma)), x0, xs, ys, forward=False, is_sigma=True)
     _add_time_constants(model, params, uncert)
@@ -205,12 +203,15 @@ def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> Fit
         model=model,
         parameters=params,
         uncertainties=uncert,
-        residual_norm=float(np.sqrt(best.fun)) * ys,
+        residual_norm=float(np.sqrt(2.0 * res.cost)) * ys,
     )
 
 
-def _canonical(model, p):
-    """Fold sign conventions: rates non-negative, biexponential sorted slow-first."""
+def _canonical(model, p, sigma):
+    """Fold sign conventions: rates non-negative, biexponential sorted slow-first.
+
+    ``sigma`` (uncertainties of ``p``) is reordered along with ``p``.
+    """
     p = np.array(p, dtype=float)
     if model == "single-exponential":
         p[1] = abs(p[1])
@@ -222,10 +223,11 @@ def _canonical(model, p):
     elif model == "biexponential":
         p[1], p[3] = abs(p[1]), abs(p[3])
         if p[1] > p[3]:  # rate1 must be the slow component
-            p = np.array([p[2], p[3], p[0], p[1], p[4]])
+            order = [2, 3, 0, 1, 4]
+            p, sigma = p[order], sigma[order]
     elif model == "lorentzian":
         p[2] = abs(p[2])
-    return p
+    return p, sigma
 
 
 def _merge_guess(model, heuristic, guess):
@@ -291,22 +293,6 @@ def _scale_params(model, params, x0, xs, ys, forward, is_sigma=False):
     if forward:
         return np.array([out[n] for n in names])
     return out
-
-
-def _uncertainties(fn, popt, u, v):
-    res = fn(popt, u) - v
-    dof = max(len(u) - len(popt), 1)
-    s2 = float(res @ res) / dof
-    jac = np.empty((len(u), len(popt)))
-    for j in range(len(popt)):
-        step = 1e-6 * max(abs(popt[j]), 1e-9)
-        pp = popt.copy()
-        pm = popt.copy()
-        pp[j] += step
-        pm[j] -= step
-        jac[:, j] = (fn(pp, u) - fn(pm, u)) / (2.0 * step)
-    cov = s2 * np.linalg.pinv(jac.T @ jac)
-    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
 def _add_time_constants(model, params, uncert):

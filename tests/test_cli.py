@@ -1,7 +1,13 @@
 import pytest
+from scipy.optimize import OptimizeResult
 
 from erspin_sim import cli, fitting
 from erspin_sim.experiments import EXPERIMENT_NAMES
+
+
+def unconverged_least_squares(fun, x0, **kwargs):
+    """Stand-in for ``least_squares`` that stops at its evaluation limit."""
+    return OptimizeResult(x=x0, status=0, success=False, message="the evaluation limit was reached")
 
 
 def read_summary(path):
@@ -36,15 +42,30 @@ class TestExitCodes:
     def test_malformed_set(self, tmp_path, capsys):
         assert cli.main(["rabi", "--set", "n_samples", "--out", str(tmp_path)]) == 2
 
-    def test_numerical_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv, stall, message",
+        [
+            (["rabi"], "quadrature", "quadrature stalled"),
+            (["resonator", "--set", "points=301"], "optimizer", "lorentzian fit did not converge"),
+            # nothing is depleted, so the same-burn area ratio is undefined
+            (["pumping-efficiency", "--set", "pump_rate_flip=0"], None, "area_ratio_same_burn_populations"),
+        ],
+        ids=["quadrature", "optimizer", "non-finite-summary"],
+    )
+    def test_numerical_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys, argv, stall, message):
         from erspin_sim.bloch import ConvergenceError
 
-        def stall(cfg):
+        def stall_quadrature(cfg):
             raise ConvergenceError("quadrature stalled")
 
-        monkeypatch.setattr(cli, "run", stall)
-        assert cli.main(["rabi", "--out", str(tmp_path)]) == 3
-        assert "numerical error" in capsys.readouterr().err
+        if stall == "quadrature":
+            monkeypatch.setattr(cli, "run", stall_quadrature)
+        elif stall == "optimizer":
+            monkeypatch.setattr(fitting, "least_squares", unconverged_least_squares)
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical error" in err and message in err
+        assert not any(tmp_path.iterdir())  # no trace or summary written
 
 
 class TestArtifacts:

@@ -36,6 +36,16 @@ def test_holeburn_recovers_lifetimes(default_runs):
     assert s["peak_signal"] >= s["signal_at_zero_wait"]
 
 
+def test_holeburn_recovers_lifetimes_when_antihole_peaks_at_zero_wait(tmp_path):
+    # The antihole peaks within the first 0.2 ms, so the fast component's
+    # amplitude cannot be seeded from the peak height.
+    sets = {"t1_spin_s": "0.029907", "branch_same": "0.6", "pump_rate_flip": "141.421"}
+    s = experiments.run(experiments.build_config("holeburn", set_overrides=sets, output_dir=tmp_path))
+    assert s["peak_wait_s"] < 2e-4
+    assert s["decay_time_s"] == pytest.approx(0.029907, rel=0.10)
+    assert s["rise_time_s"] == pytest.approx(11e-3, rel=0.10)
+
+
 def test_resonator_reports_exact_linewidth(default_runs):
     s = default_runs["resonator"]
     assert abs(s["fwhm_hz"] - 60e6) <= 1.0

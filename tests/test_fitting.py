@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 from erspin_sim import fitting
 
@@ -105,7 +108,7 @@ class TestFitBehavior:
         res = fitting.fit(rows, "single-exponential")
         assert res.parameters["tau"] == pytest.approx(0.1, rel=1e-7)
 
-    def test_errors(self):
+    def test_errors(self, monkeypatch):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(fitting.FitError):
             fitting.fit((t, np.zeros(5)), "sinusoid-decay")  # too few points
@@ -119,3 +122,89 @@ class TestFitBehavior:
                 "single-exponential",
                 initial_guess={"lifetime": 1.0},
             )
+        f = np.linspace(-5.0, 5.0, 101)
+        with pytest.raises(fitting.FitError), np.errstate(divide="ignore", invalid="ignore"):
+            fitting.fit((f, 1.0 / (1.0 + f**2)), "lorentzian", initial_guess={"fwhm": 0.0})
+        # an optimizer stopped at its evaluation limit is not a result
+        monkeypatch.setattr(
+            fitting,
+            "least_squares",
+            lambda fun, x0, **kw: OptimizeResult(x=x0, status=0, success=False, message="limit reached"),
+        )
+        with pytest.raises(fitting.FitError, match="did not converge"):
+            fitting.fit((np.linspace(0, 1, 50), np.exp(-np.linspace(0, 1, 50))), "single-exponential")
+
+
+def signed(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.floats(-hi, -lo))
+
+
+class TestRecoversSyntheticParameters:
+    """Noise-free traces of each model are fitted back to their parameters.
+
+    Ranges, relative to the sampled window of length ``span``:
+    * single exponential: tau in [0.02, 1] span, |offset| <= 2 |amplitude|;
+    * biexponential: tau_slow in [0.05, 0.5] span, tau_slow / tau_fast in
+      [3, 30], |amp_fast| in [0.25, 1] |amp_slow|, |offset| <= |amp_slow|, on
+      a zero-wait point plus log-spaced waits;
+    * damped sinusoid: 2 to 20 periods, decay rate up to 2 / span, any phase,
+      |offset| <= |amplitude|;
+    * Lorentzian: center in the middle 40 %, fwhm in [0.02, 0.3] span,
+      |offset| <= |amplitude|.
+    Amplitudes are 0.1 to 10 of either sign; span is 1 ns to 1 ks.
+    """
+
+    span = st.floats(1e-9, 1e3)
+    amplitude = signed(0.1, 10.0)
+    fraction = st.floats(-1.0, 1.0)
+
+    @given(span=span, a=amplitude, tau=st.floats(0.02, 1.0), c=st.floats(-2.0, 2.0))
+    def test_single_exponential(self, span, a, tau, c):
+        x = np.linspace(0.0, span, 101)
+        y = a * np.exp(-x / (tau * span)) + c * a
+        p = fitting.fit((x, y), "single-exponential").parameters
+        assert p["tau"] == pytest.approx(tau * span, rel=1e-6)
+        assert p["amplitude"] == pytest.approx(a, rel=1e-6)
+
+    @given(
+        span=span,
+        a1=amplitude,
+        tau_slow=st.floats(0.05, 0.5),
+        ratio=st.floats(3.0, 30.0),
+        a2=signed(0.25, 1.0),
+        c=fraction,
+    )
+    def test_biexponential(self, span, a1, tau_slow, ratio, a2, c):
+        x = span * np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 80)])
+        t_slow, t_fast = tau_slow * span, tau_slow * span / ratio
+        y = a1 * (np.exp(-x / t_slow) + a2 * np.exp(-x / t_fast) + c)
+        p = fitting.fit((x, y), "biexponential").parameters
+        assert p["tau_slow"] == pytest.approx(t_slow, rel=1e-6)
+        assert p["tau_fast"] == pytest.approx(t_fast, rel=1e-6)
+        assert p["amp2"] == pytest.approx(a1 * a2, rel=1e-6)
+
+    @given(
+        span=span,
+        a=amplitude,
+        periods=st.floats(2.0, 20.0),
+        phase=st.floats(-math.pi, math.pi),
+        rate=st.floats(0.0, 2.0),
+        c=fraction,
+    )
+    def test_sinusoid_decay(self, span, a, periods, phase, rate, c):
+        x = np.linspace(0.0, span, 401)
+        u = x / span
+        y = a * (np.cos(2.0 * math.pi * periods * u + phase) * np.exp(-rate * u) + c)
+        p = fitting.fit((x, y), "sinusoid-decay").parameters
+        assert p["frequency"] == pytest.approx(periods / span, rel=1e-6)
+        assert p["decay_rate"] * span == pytest.approx(rate, abs=1e-6)
+        assert abs(p["amplitude"]) == pytest.approx(abs(a), rel=1e-6)
+
+    @given(span=span, a=amplitude, center=st.floats(0.3, 0.7), fwhm=st.floats(0.02, 0.3), c=fraction)
+    def test_lorentzian(self, span, a, center, fwhm, c):
+        x = np.linspace(0.0, span, 601)
+        y = a * (1.0 / (1.0 + (2.0 * (x / span - center) / fwhm) ** 2) + c)
+        p = fitting.fit((x, y), "lorentzian").parameters
+        assert p["center"] == pytest.approx(center * span, rel=1e-6)
+        assert p["fwhm"] == pytest.approx(fwhm * span, rel=1e-6)
+        assert p["amplitude"] == pytest.approx(a, rel=1e-6)
