@@ -61,6 +61,8 @@ class Param:
                 val = raw
         except ValueError as exc:
             raise ConfigError(key, f"cannot parse {raw!r} as {self.kind}: {exc}") from None
+        if self.kind == "float" and math.isnan(val):
+            raise ConfigError(key, "must be a number, not nan")
         if self.choices is not None and val not in self.choices:
             raise ConfigError(key, f"must be one of {self.choices}")
         if self.minimum is not None and val < self.minimum:

@@ -51,6 +51,41 @@ def rk4_bloch_batch(r0, omega, phase, detuning_hz, duration, steps=2000):
     return r
 
 
+def two_pulse_reference(det, amp, wts, rabi, taus, t2, refocus, steps=2000):
+    """Member-by-member Ramsey inversion or echo magnitude at each tau.
+
+    Every (tau, member) pair is one row of an RK4 batch: pulses of
+    duration (pi/2)/rabi and pi/rabi are integrated with
+    :func:`rk4_bloch_batch`, and each delay is written out as a rotation
+    about z by 2 pi det tau that damps u and v by exp(-tau/t2).  Ramsey
+    (``refocus=False``) returns the weighted mean of w after
+    pi/2 - tau - pi/2; the echo returns |<u + i v>| after
+    pi/2 - tau - pi - tau.
+    """
+    det, amp, wts, taus = (np.asarray(x, float) for x in (det, amp, wts, taus))
+    n, m = det.size, taus.size
+    det_b, omega_b = np.tile(det, m), np.tile(rabi * amp, m)
+    tau_b = np.repeat(taus, n)
+    theta = 2.0 * np.pi * det_b * tau_b
+    damp = np.exp(-tau_b / t2)
+
+    def pulse(r, duration):
+        return rk4_bloch_batch(r, omega_b, np.zeros(n * m), det_b, np.full(n * m, duration), steps)
+
+    def delay(r):
+        c, s = np.cos(theta), np.sin(theta)
+        u, v, w = r[:, 0], r[:, 1], r[:, 2]
+        return np.stack([damp * (c * u - s * v), damp * (s * u + c * v), w], axis=1)
+
+    r = delay(pulse(np.tile([0.0, 0.0, -1.0], (n * m, 1)), 0.5 * np.pi / rabi))
+    if not refocus:
+        r = pulse(r, 0.5 * np.pi / rabi)
+        return (wts * r[:, 2].reshape(m, n)).sum(axis=1)
+    r = delay(pulse(r, np.pi / rabi))
+    perp = (r[:, 0] + 1j * r[:, 1]).reshape(m, n)
+    return np.abs((wts * perp).sum(axis=1))
+
+
 def rk4_rates_batch(p0, generators, durations, steps=20000):
     """Integrate dp/dt = K p for a batch of generators.
 

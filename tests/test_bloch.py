@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from erspin_sim import bloch, spectra
-from oracles import brute_pi_fidelity_avg, rk4_bloch_batch
+from oracles import brute_pi_fidelity_avg, rk4_bloch_batch, two_pulse_reference
 
 OMEGA_GROUND = 2.0 * math.pi * 14.9e6
 OMEGA_EXCITED = 2.0 * math.pi * 6.2e6
@@ -283,9 +285,74 @@ class TestEcho:
         assert amp[1] == pytest.approx(math.exp(-1.0), abs=1e-9)
         assert amp[0] == pytest.approx(math.exp(-0.5), abs=1e-9)
 
-    def test_t2_validation(self):
-        with pytest.raises(ValueError):
-            bloch.echo_trace(spec_no_spread(), OMEGA_GROUND, [1e-7], t2=0.0)
+    @pytest.mark.parametrize("trace", [bloch.ramsey_trace, bloch.echo_trace], ids=["ramsey", "echo"])
+    def test_t2_validation(self, trace):
+        for t2 in (0.0, -1e-7, math.nan):
+            with pytest.raises(ValueError, match="t2 must be > 0"):
+                trace(spec_no_spread(), OMEGA_GROUND, [0.0, 1e-7], t2=t2)
+
+
+class TestTwoPulseOracle:
+    @pytest.mark.parametrize("t2", [math.inf, 2e-7], ids=["t2-inf", "t2-finite"])
+    @pytest.mark.parametrize("omega", [OMEGA_GROUND, OMEGA_EXCITED], ids=["ground", "excited"])
+    def test_finite_pulses_match_rk4_reference(self, omega, t2):
+        # 15 detunings x 11 amplitudes; 500 RK4 steps per pulse keep the
+        # reference within 1e-8 of converged over this +-5 FWHM span
+        spec = bloch.EnsembleSpec(
+            detuning_line=line(), rabi_spread=bloch.AmplitudeSpread(0.05), n_samples=15, span_fwhm=5.0
+        )
+        det, amp, wts = spec.members()
+        taus = np.array([0.0, 1.3e-8, 4.1e-8, 9.7e-8, 2.2e-7])
+        _, ramsey = bloch.ramsey_trace(spec, omega, taus, t2=t2)
+        _, echo = bloch.echo_trace(spec, omega, taus, t2=t2)
+        ref_ramsey = two_pulse_reference(det, amp, wts, omega, taus, t2, refocus=False, steps=500)
+        ref_echo = two_pulse_reference(det, amp, wts, omega, taus, t2, refocus=True, steps=500)
+        assert np.max(np.abs(ramsey - ref_ramsey)) <= 1e-6
+        assert np.max(np.abs(echo - ref_echo)) <= 1e-6
+
+
+unit_vectors = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: math.hypot(*v) > 0.1)
+    .map(lambda v: bloch.BlochVector(*(np.array(v) / math.hypot(*v))))
+)
+pulses = st.builds(
+    bloch.Pulse,
+    rabi=st.floats(0.0, 2e8),
+    duration=st.floats(0.0, 3e-7),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    detuning_offset=st.floats(-5e7, 5e7),
+)
+delays = st.builds(bloch.Delay, st.floats(0.0, 1e-5))
+detunings = st.floats(-5e7, 5e7)
+t2s = st.floats(1e-8, 1e-4)
+
+
+class TestSequenceProperties:
+    @given(unit_vectors, st.lists(st.one_of(pulses, delays), max_size=8), detunings)
+    def test_norm_preserved_without_t2(self, start, elements, detuning):
+        out = bloch.run_sequence(start, bloch.Sequence(tuple(elements)), detuning)
+        assert abs(out.norm - 1.0) <= 1e-9
+
+    @given(unit_vectors, st.lists(st.one_of(pulses, delays), max_size=8), detunings, t2s)
+    def test_norm_never_exceeds_one_with_t2(self, start, elements, detuning, t2):
+        out = bloch.run_sequence(start, bloch.Sequence(tuple(elements), t2=t2), detuning)
+        assert out.norm <= 1.0 + 1e-12  # rounding only
+
+    @given(
+        unit_vectors,
+        st.lists(pulses, max_size=4),
+        st.lists(delays, min_size=1, max_size=4),
+        detunings,
+        t2s,
+    )
+    def test_t2_leaves_inversion_unchanged(self, start, pulse_block, delay_block, detuning, t2):
+        # damping shrinks only u and v, so w is untouched as long as no
+        # pulse follows a delay and mixes the damped part back into w
+        elements = tuple(pulse_block + delay_block)
+        damped = bloch.run_sequence(start, bloch.Sequence(elements, t2=t2), detuning)
+        free = bloch.run_sequence(start, bloch.Sequence(elements), detuning)
+        assert damped.w == pytest.approx(free.w, abs=1e-12)
 
 
 class TestSequence:

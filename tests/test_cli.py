@@ -43,6 +43,13 @@ class TestExitCodes:
         assert cli.main(["rabi", "--set", "n_samples", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
+        "experiment, key", [("echo", "t2_s"), ("ramsey", "t2_s"), ("rabi", "line_fwhm_hz")]
+    )
+    def test_nan_float_is_config_error(self, tmp_path, capsys, experiment, key):
+        assert cli.main([experiment, "--set", f"{key}=nan", "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv, stall, message",
         [
             (["rabi"], "quadrature", "quadrature stalled"),
