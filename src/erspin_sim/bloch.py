@@ -49,7 +49,7 @@ class BlochVector:
     w: float
 
     def __post_init__(self):
-        if self.norm > 1.0 + 1e-9:
+        if not self.norm <= 1.0 + 1e-9:
             raise ValueError(f"Bloch vector norm {self.norm} exceeds 1")
 
     @property
@@ -112,7 +112,7 @@ class Sequence:
         for el in self.elements:
             if not isinstance(el, (Pulse, Delay)):
                 raise ValueError(f"unsupported sequence element {el!r}")
-        if self.t2 is not None and self.t2 <= 0:
+        if self.t2 is not None and not self.t2 > 0:
             raise ValueError("t2 must be > 0")
         object.__setattr__(self, "elements", tuple(self.elements))
 

@@ -1,8 +1,10 @@
 """Named experiment protocols wired end-to-end from configuration.
 
-Each experiment resolves defaults (preset-dependent where sensible),
-applies overrides, runs the physics modules and writes two artifacts into
-the output directory:
+Each experiment resolves defaults (preset-dependent where sensible) and
+overrides.  Its ``build(params, seed)`` makes every domain object and grid,
+so their invariants and the cross-key checks run, and returns ``measure()``
+for the kernels and the fit.  ``build_config`` builds to validate; ``run``
+builds again, measures and writes two artifacts into the output directory:
 
 * ``<experiment>_trace.csv``   the primary trace; time-domain traces carry
   ``#``-prefixed metadata lines before the column header, spectral
@@ -16,7 +18,7 @@ Identical configuration and seed give byte-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,197 +134,224 @@ def _interp_max(x, y):
     return float(x[i])
 
 
+def _grid(key: str, space, *args) -> np.ndarray:
+    """``space(*args)``; a size numpy cannot allocate is an error of ``key``."""
+    try:
+        return space(*args)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
-# Runners.  Each returns (summary dict, trace description).
+# Builders.  Each returns measure() -> (summary dict, trace description).
 
 
-def _run_rabi(params, seed):
+def _build_rabi(params, seed):
     spec = _ensemble_from(params, seed)
     f_set = params["rabi_frequency_hz"]
     omega = 2.0 * math.pi * f_set
-    t_end = params["trace_periods"] / f_set
-    t = np.linspace(0.0, t_end, params["trace_points"])
-    times, inversion = bloch.rabi_trace(spec, omega, t)
-    res = fitting.fit((times, inversion), "sinusoid-decay")
-    f_fit = res.parameters["frequency"]
-    summary = {
-        "rabi_frequency_set_hz": f_set,
-        "rabi_frequency_hz": f_fit,
-        "rabi_frequency_sigma_hz": res.uncertainties["frequency"],
-        "pi_time_s": 1.0 / (2.0 * f_fit),
-        "first_maximum_s": _interp_max(times, inversion),
-        "contrast_decay_rate_hz": res.parameters["decay_rate"],
-        "fit_residual_norm": res.residual_norm,
-        "pi_fidelity_line_avg": bloch.pi_fidelity_avg(omega, spec),
-        "pi_fidelity_center": bloch.pi_fidelity_center(omega, spec.rabi_spread),
-    }
-    return summary, ("time_s", "inversion", times, inversion)
+    t = _grid("trace_points", np.linspace, 0.0, params["trace_periods"] / f_set, params["trace_points"])
+
+    def measure():
+        times, inversion = bloch.rabi_trace(spec, omega, t)
+        res = fitting.fit((times, inversion), "sinusoid-decay")
+        f_fit = res.parameters["frequency"]
+        summary = {
+            "rabi_frequency_set_hz": f_set,
+            "rabi_frequency_hz": f_fit,
+            "rabi_frequency_sigma_hz": res.uncertainties["frequency"],
+            "pi_time_s": 1.0 / (2.0 * f_fit),
+            "first_maximum_s": _interp_max(times, inversion),
+            "contrast_decay_rate_hz": res.parameters["decay_rate"],
+            "fit_residual_norm": res.residual_norm,
+            "pi_fidelity_line_avg": bloch.pi_fidelity_avg(omega, spec),
+            "pi_fidelity_center": bloch.pi_fidelity_center(omega, spec.rabi_spread),
+        }
+        return summary, ("time_s", "inversion", times, inversion)
+
+    return measure
 
 
-def _run_ramsey(params, seed):
+def _build_ramsey(params, seed):
     spec = _ensemble_from(params, seed)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
-    taus = np.linspace(0.0, params["tau_max_s"], params["tau_points"])
-    t2 = params["t2_s"]
-    x, sig = bloch.ramsey_trace(spec, omega, taus, t2=t2, ideal_pulses=params["ideal_pulses"])
-    res = fitting.fit((x, sig), "single-exponential")
-    summary = {
-        "t2_star_s": res.parameters["tau"],
-        "t2_star_sigma_s": res.uncertainties["tau"],
-        "initial_transfer": float(sig[0]),
-        "ideal_lorentzian_limit_s": 1.0 / (math.pi * params["line_fwhm_hz"]),
-        "fit_residual_norm": res.residual_norm,
-    }
-    return summary, ("tau_s", "inversion", x, sig)
+    taus = _grid("tau_points", np.linspace, 0.0, params["tau_max_s"], params["tau_points"])
+
+    def measure():
+        x, sig = bloch.ramsey_trace(spec, omega, taus, t2=params["t2_s"], ideal_pulses=params["ideal_pulses"])
+        res = fitting.fit((x, sig), "single-exponential")
+        summary = {
+            "t2_star_s": res.parameters["tau"],
+            "t2_star_sigma_s": res.uncertainties["tau"],
+            "initial_transfer": float(sig[0]),
+            "ideal_lorentzian_limit_s": 1.0 / (math.pi * params["line_fwhm_hz"]),
+            "fit_residual_norm": res.residual_norm,
+        }
+        return summary, ("tau_s", "inversion", x, sig)
+
+    return measure
 
 
-def _run_echo(params, seed):
+def _build_echo(params, seed):
     spec = _ensemble_from(params, seed)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
-    taus = np.linspace(params["tau_min_s"], params["tau_max_s"], params["tau_points"])
-    x2, amp = bloch.echo_trace(spec, omega, taus, params["t2_s"], ideal_pulses=params["ideal_pulses"])
-    res = fitting.fit((x2, amp), "single-exponential")
-    summary = {
-        "t2_set_s": params["t2_s"],
-        "t2_fit_s": res.parameters["tau"],
-        "t2_fit_sigma_s": res.uncertainties["tau"],
-        "echo_amplitude_at_zero": res.parameters["amplitude"] + res.parameters["offset"],
-        "fit_residual_norm": res.residual_norm,
-    }
-    return summary, ("two_tau_s", "echo_amplitude", x2, amp)
+    if not params["tau_min_s"] <= params["tau_max_s"]:
+        raise ValueError("tau_min_s must be <= tau_max_s")
+    taus = _grid("tau_points", np.linspace, params["tau_min_s"], params["tau_max_s"], params["tau_points"])
+
+    def measure():
+        x2, amp = bloch.echo_trace(spec, omega, taus, params["t2_s"], ideal_pulses=params["ideal_pulses"])
+        res = fitting.fit((x2, amp), "single-exponential")
+        summary = {
+            "t2_set_s": params["t2_s"],
+            "t2_fit_s": res.parameters["tau"],
+            "t2_fit_sigma_s": res.uncertainties["tau"],
+            "echo_amplitude_at_zero": res.parameters["amplitude"] + res.parameters["offset"],
+            "fit_residual_norm": res.residual_norm,
+        }
+        return summary, ("two_tau_s", "echo_amplitude", x2, amp)
+
+    return measure
 
 
-def _run_holeburn(params, seed):
+def _build_holeburn(params, seed):
     rp = _rate_params_from(params)
-    waits = np.concatenate(
-        [[0.0], np.geomspace(params["wait_min_s"], params["wait_max_s"], params["wait_points"] - 1)]
-    )
-    x, sig = pumping.antihole_trace(rp, params["burn_duration_s"], waits)
-    res = fitting.fit((x, sig), "biexponential")
-    summary = {
-        "decay_time_s": res.parameters["tau_slow"],
-        "decay_time_sigma_s": res.uncertainties["tau_slow"],
-        "rise_time_s": res.parameters["tau_fast"],
-        "rise_time_sigma_s": res.uncertainties["tau_fast"],
-        "signal_at_zero_wait": float(sig[0]),
-        "peak_wait_s": _interp_max(x, sig),
-        "peak_signal": float(np.max(sig)),
-        "fit_residual_norm": res.residual_norm,
-    }
-    return summary, ("wait_s", "antihole_excess", x, sig)
+    if not params["wait_min_s"] <= params["wait_max_s"]:
+        raise ValueError("wait_min_s must be <= wait_max_s")
+    waits = _grid("wait_points", np.geomspace, params["wait_min_s"], params["wait_max_s"], params["wait_points"] - 1)
+    if not (np.all(np.isfinite(waits)) and np.all(np.diff(waits) >= 0)):  # geomspace overflow or rounding
+        raise ValueError("wait_min_s and wait_max_s give no finite ascending wait grid")
+    waits = np.concatenate([[0.0], waits])
+
+    def measure():
+        x, sig = pumping.antihole_trace(rp, params["burn_duration_s"], waits)
+        res = fitting.fit((x, sig), "biexponential")
+        summary = {
+            "decay_time_s": res.parameters["tau_slow"],
+            "decay_time_sigma_s": res.uncertainties["tau_slow"],
+            "rise_time_s": res.parameters["tau_fast"],
+            "rise_time_sigma_s": res.uncertainties["tau_fast"],
+            "signal_at_zero_wait": float(sig[0]),
+            "peak_wait_s": _interp_max(x, sig),
+            "peak_signal": float(np.max(sig)),
+            "fit_residual_norm": res.residual_norm,
+        }
+        return summary, ("wait_s", "antihole_excess", x, sig)
+
+    return measure
 
 
-def _run_pumping_efficiency(params, seed):
+def _build_pumping_efficiency(params, seed):
     rp = _rate_params_from(params)
-    burn = params["burn_duration_s"]
-    eff_th = pumping.pumping_efficiency(rp, burn, baseline="thermal")
-    eff_up = pumping.pumping_efficiency(rp, burn, baseline="unpolarized")
-
-    line = spectra.LineShape(params["line_kind"], params["line_fwhm_hz"])
-    rm = spectra.ReadoutModel(
-        baseline_absorption=params["baseline_absorption"], probe_width=params["probe_width_hz"]
-    )
-    antihole = spectra.antihole_spectrum(line, max(min(eff_th, 1.0), -1.0), rm)
-    unit_hole = spectra.antihole_spectrum(line, -1.0, rm)
-    area_ratio = spectra.hole_area_ratio(unit_hole, antihole)
-
     # same-burn comparison: deplete the probed state through the
     # spin-preserving line at the same stimulated rate and compare the
     # population moved in by the flip burn with the one moved out.
-    rp_hole = pumping.RateParams(
-        t1_opt=rp.t1_opt,
-        t1_spin=rp.t1_spin,
-        branch_same=rp.branch_same,
-        pump_rate_flip=0.0,
-        pump_rate_preserve=rp.pump_rate_flip if rp.pump_rate_flip > 0 else rp.pump_rate_preserve,
-        temperature=rp.temperature,
-        splitting=rp.splitting,
-    )
-    p_th = pumping.thermal_state(rp).as_array()
-    p_anti = pumping.evolve(pumping.thermal_state(rp), rp, burn).as_array()
-    p_hole = pumping.evolve(pumping.thermal_state(rp_hole), rp_hole, burn).as_array()
-    depletion = p_th[0] - p_hole[0]
-    ratio_same_burn = (p_anti[0] - p_th[0]) / depletion if depletion > 0 else math.nan
+    preserve = rp.pump_rate_flip if rp.pump_rate_flip > 0 else rp.pump_rate_preserve
+    rp_hole = replace(rp, pump_rate_flip=0.0, pump_rate_preserve=preserve)
+    burn = params["burn_duration_s"]
+    line = spectra.LineShape(params["line_kind"], params["line_fwhm_hz"])
+    rm = spectra.ReadoutModel(baseline_absorption=params["baseline_absorption"], probe_width=params["probe_width_hz"])
+    # antihole_spectrum convolves a +-6 probe-width kernel over a +-20 line-width grid
+    if not 6.0 * rm.probe_width <= 20.0 * line.fwhm:
+        raise ValueError("probe_width_hz must be <= (10/3) line_fwhm_hz")
 
-    summary = {
-        "efficiency_thermal_baseline": eff_th,
-        "efficiency_unpolarized_baseline": eff_up,
-        "area_ratio_vs_unit_hole": area_ratio,
-        "area_ratio_same_burn_populations": float(ratio_same_burn),
-        "antihole_fwhm_hz": spectra.profile_fwhm(antihole),
-        "target_population_after_burn": float(p_anti[0]),
-        "thermal_target_population": float(p_th[0]),
-    }
-    return summary, ("profile", antihole)
+    def measure():
+        eff_th = pumping.pumping_efficiency(rp, burn, baseline="thermal")
+        eff_up = pumping.pumping_efficiency(rp, burn, baseline="unpolarized")
+        antihole = spectra.antihole_spectrum(line, max(min(eff_th, 1.0), -1.0), rm)
+        unit_hole = spectra.antihole_spectrum(line, -1.0, rm)
+        area_ratio = spectra.hole_area_ratio(unit_hole, antihole)
+
+        p_th = pumping.thermal_state(rp).as_array()
+        p_anti = pumping.evolve(pumping.thermal_state(rp), rp, burn).as_array()
+        p_hole = pumping.evolve(pumping.thermal_state(rp_hole), rp_hole, burn).as_array()
+        depletion = p_th[0] - p_hole[0]
+        ratio_same_burn = (p_anti[0] - p_th[0]) / depletion if depletion > 0 else math.nan
+
+        summary = {
+            "efficiency_thermal_baseline": eff_th,
+            "efficiency_unpolarized_baseline": eff_up,
+            "area_ratio_vs_unit_hole": area_ratio,
+            "area_ratio_same_burn_populations": float(ratio_same_burn),
+            "antihole_fwhm_hz": spectra.profile_fwhm(antihole),
+            "target_population_after_burn": float(p_anti[0]),
+            "thermal_target_population": float(p_th[0]),
+        }
+        return summary, ("profile", antihole)
+
+    return measure
 
 
-def _run_resonator(params, seed):
+def _build_resonator(params, seed):
     rp = resonator.ResonatorParams(
         conversion=params["conversion_t_per_sqrt_w"],
         f0=params["f0_hz"],
         fwhm=params["fwhm_hz"],
         insertion_loss_db=params["insertion_loss_db"],
     )
-    f = np.linspace(rp.f0 - params["span_hz"] / 2, rp.f0 + params["span_hz"] / 2, params["points"])
-    db = np.asarray(resonator.s21(rp, f))
-    # fit in linear power units where the response is a true Lorentzian
-    res = fitting.fit((f, 10.0 ** (db / 10.0)), "lorentzian")
-    peak_power = res.parameters["amplitude"] + res.parameters["offset"]
-    summary = {
-        "f0_set_hz": rp.f0,
-        "fwhm_set_hz": rp.fwhm,
-        "f0_hz": res.parameters["center"],
-        "fwhm_hz": res.parameters["fwhm"],
-        "insertion_loss_db": -10.0 * math.log10(peak_power),
-        "q_factor": rp.quality_factor,
-        "s21_peak_db": float(resonator.s21(rp, rp.f0)),
-        "b1_at_100w_resonant_t": resonator.field_from_power(rp, 100.0),
-        "fit_residual_norm": res.residual_norm,
-    }
-    return summary, ("frequency_hz", "s21_db", f, db)
+    if not params["span_hz"] < 2.0 * rp.f0:
+        raise ValueError("span_hz must be < 2 f0_hz, so the sweep stays at positive frequencies")
+    f = _grid("points", np.linspace, rp.f0 - params["span_hz"] / 2, rp.f0 + params["span_hz"] / 2, params["points"])
+
+    def measure():
+        db = np.asarray(resonator.s21(rp, f))
+        # fit in linear power units where the response is a true Lorentzian
+        res = fitting.fit((f, 10.0 ** (db / 10.0)), "lorentzian")
+        peak_power = res.parameters["amplitude"] + res.parameters["offset"]
+        summary = {
+            "f0_set_hz": rp.f0,
+            "fwhm_set_hz": rp.fwhm,
+            "f0_hz": res.parameters["center"],
+            "fwhm_hz": res.parameters["fwhm"],
+            # a response that underflows to zero fits no positive peak
+            "insertion_loss_db": -10.0 * math.log10(peak_power) if peak_power > 0 else math.nan,
+            "q_factor": rp.quality_factor,
+            "s21_peak_db": float(resonator.s21(rp, rp.f0)),
+            "b1_at_100w_resonant_t": resonator.field_from_power(rp, 100.0),
+            "fit_residual_norm": res.residual_norm,
+        }
+        return summary, ("frequency_hz", "s21_db", f, db)
+
+    return measure
 
 
-def _run_heating_budget(params, seed):
+def _build_heating_budget(params, seed):
     hm = resonator.HeatingModel(slope=params["slope_k_per_w"], max_delta_t=params["max_delta_t_k"])
-    report = resonator.heating_budget(
-        hm, params["p_peak_w"], params["pulse_len_s"], params["rep_period_s"]
-    )
-    rates = np.geomspace(1.0, 1e5, params["points"])
+    p_peak, pulse_len, rep_period = params["p_peak_w"], params["pulse_len_s"], params["rep_period_s"]
+    if not rep_period >= pulse_len:
+        raise ValueError("rep_period_s must be >= pulse_len_s")
+    rates = _grid("points", np.geomspace, 1.0, 1e5, params["points"])
     periods = 1.0 / rates
-    dts = np.array(
-        [
-            resonator.heating_budget(hm, params["p_peak_w"], params["pulse_len_s"], p).delta_t
-            for p in periods
-            if p >= params["pulse_len_s"]
-        ]
-    )
-    rates = rates[: dts.size]
-    summary = {
-        "delta_t_k": report.delta_t,
-        "ok": report.ok,
-        "max_rep_rate_hz": report.max_rep_rate,
-        "average_power_w": report.average_power,
-        "cw_delta_t_per_mw_k": hm.slope * 1e-3,
-    }
-    return summary, ("rep_rate_hz", "delta_t_k", rates, dts)
+
+    def measure():
+        report = resonator.heating_budget(hm, p_peak, pulse_len, rep_period)
+        dts = np.array([resonator.heating_budget(hm, p_peak, pulse_len, p).delta_t for p in periods if p >= pulse_len])
+        summary = {
+            "delta_t_k": report.delta_t,
+            "ok": report.ok,
+            "max_rep_rate_hz": report.max_rep_rate,
+            "average_power_w": report.average_power,
+            "cw_delta_t_per_mw_k": hm.slope * 1e-3,
+        }
+        return summary, ("rep_rate_hz", "delta_t_k", rates[: dts.size], dts)
+
+    return measure
 
 
-_COMMON = {"preset": Param(geometry.GROUND_CONFIG, kind="str", choices=PRESETS)}
+_PRESET = Param(geometry.GROUND_CONFIG, kind="str", choices=PRESETS)
 
 EXPERIMENTS = {
     "rabi": (
-        _run_rabi,
+        _build_rabi,
         {
-            **_COMMON,
             **_ensemble_params(),
             "trace_periods": Param(15.0, minimum=1.0),
             "trace_points": Param(2001, kind="int", minimum=16),
         },
     ),
     "ramsey": (
-        _run_ramsey,
+        _build_ramsey,
         {
-            **_COMMON,
             **_ensemble_params(),
             "tau_max_s": Param(2e-7, minimum=1e-12),
             "tau_points": Param(401, kind="int", minimum=16),
@@ -331,9 +360,8 @@ EXPERIMENTS = {
         },
     ),
     "echo": (
-        _run_echo,
+        _build_echo,
         {
-            **_COMMON,
             **_ensemble_params(),
             "tau_min_s": Param(1e-8, minimum=0.0),
             "tau_max_s": Param(1.5e-6, minimum=1e-12),
@@ -343,9 +371,8 @@ EXPERIMENTS = {
         },
     ),
     "holeburn": (
-        _run_holeburn,
+        _build_holeburn,
         {
-            **_COMMON,
             **_rate_params(200.0),
             "wait_min_s": Param(1e-4, minimum=1e-9),
             "wait_max_s": Param(0.4, minimum=1e-6),
@@ -353,9 +380,8 @@ EXPERIMENTS = {
         },
     ),
     "pumping-efficiency": (
-        _run_pumping_efficiency,
+        _build_pumping_efficiency,
         {
-            **_COMMON,
             **_rate_params(2000.0),
             "line_fwhm_hz": Param(9e6, minimum=1e-3),
             "line_kind": Param("lorentzian", kind="str", choices=spectra.LINE_KINDS),
@@ -364,9 +390,8 @@ EXPERIMENTS = {
         },
     ),
     "resonator": (
-        _run_resonator,
+        _build_resonator,
         {
-            **_COMMON,
             "f0_hz": Param(3.12e9, minimum=1.0),
             "fwhm_hz": Param(60e6, minimum=1.0),
             "insertion_loss_db": Param(5.0, minimum=0.0),
@@ -376,9 +401,8 @@ EXPERIMENTS = {
         },
     ),
     "heating-budget": (
-        _run_heating_budget,
+        _build_heating_budget,
         {
-            **_COMMON,
             "slope_k_per_w": Param(50.0, minimum=1e-9),
             "max_delta_t_k": Param(0.1, minimum=1e-9),
             "p_peak_w": Param(100.0, minimum=0.0),
@@ -417,8 +441,8 @@ def build_config(
     """Resolve defaults, file values and overrides into a validated config.
 
     Raises :class:`ConfigError` naming the offending key for unknown keys,
-    unparsable values, range violations, a mismatched ``experiment`` line
-    or a missing seed with Monte Carlo quadrature.
+    unparsable values, range violations, a mismatched ``experiment`` line,
+    a missing seed with Monte Carlo quadrature or an input the build rejects.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}")
@@ -438,16 +462,10 @@ def build_config(
     if "output_dir" in raw:
         output_dir = raw.pop("output_dir")
 
-    preset_raw = raw.pop("preset", None)
-    preset = (
-        schema["preset"].parse("preset", preset_raw)
-        if preset_raw is not None
-        else schema["preset"].resolve_default(None)
-    )
-
-    params = {name: spec.resolve_default(preset) for name, spec in schema.items() if name != "preset"}
+    preset = _PRESET.parse("preset", raw.pop("preset")) if "preset" in raw else _PRESET.default
+    params = {name: spec.resolve_default(preset) for name, spec in schema.items()}
     for key, value in raw.items():
-        if key not in schema or key == "preset":
+        if key not in schema:
             raise ConfigError(key, f"unknown key for experiment {experiment!r}")
         params[key] = schema[key].parse(key, value)
 
@@ -456,33 +474,15 @@ def build_config(
     )
     if cfg.needs_seed and cfg.seed is None:
         raise ConfigError("seed", "monte-carlo quadrature requires a seed")
-    _validate_physics(cfg)
+    _build(cfg)
     return cfg
 
 
-def _validate_physics(cfg: ExperimentConfig):
-    """Construct the owning module's types so their invariants run early."""
-    p = cfg.params
+def _build(cfg: ExperimentConfig):
+    """The experiment's ``measure()``; an input its build rejects is a :class:`ConfigError`."""
+    build, _ = EXPERIMENTS[cfg.experiment]
     try:
-        if cfg.experiment in ("rabi", "ramsey", "echo"):
-            _ensemble_from(p, cfg.seed)
-        elif cfg.experiment in ("holeburn", "pumping-efficiency"):
-            _rate_params_from(p)
-            if cfg.experiment == "pumping-efficiency":
-                spectra.ReadoutModel(
-                    baseline_absorption=p["baseline_absorption"], probe_width=p["probe_width_hz"]
-                )
-        elif cfg.experiment == "resonator":
-            resonator.ResonatorParams(
-                conversion=p["conversion_t_per_sqrt_w"],
-                f0=p["f0_hz"],
-                fwhm=p["fwhm_hz"],
-                insertion_loss_db=p["insertion_loss_db"],
-            )
-        else:
-            resonator.HeatingModel(slope=p["slope_k_per_w"], max_delta_t=p["max_delta_t_k"])
-            if p["rep_period_s"] < p["pulse_len_s"]:
-                raise ValueError("rep_period_s must be >= pulse_len_s")
+        return build(cfg.params, cfg.seed)
     except ValueError as exc:
         raise ConfigError(cfg.experiment, str(exc)) from exc
 
@@ -500,12 +500,11 @@ def run(cfg: ExperimentConfig) -> dict:
 
     Returns the summary mapping.  Output files are
     ``<experiment>_trace.csv`` and ``<experiment>_summary.txt`` inside
-    ``cfg.output_dir`` (created if needed).  Raises
-    :class:`FloatingPointError`, before anything is written, when a float
-    summary value is not finite.
+    ``cfg.output_dir`` (created if needed).  The build runs again, so a
+    hand-made config is checked too.  Raises :class:`FloatingPointError`,
+    before anything is written, when a float summary value is not finite.
     """
-    runner, _ = EXPERIMENTS[cfg.experiment]
-    summary, trace = runner(cfg.params, cfg.seed)
+    summary, trace = _build(cfg)()
     bad = [key for key, value in summary.items() if isinstance(value, float) and not math.isfinite(value)]
     if bad:
         raise FloatingPointError(f"non-finite summary values: {', '.join(bad)}")

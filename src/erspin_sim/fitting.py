@@ -300,7 +300,7 @@ def _add_time_constants(model, params, uncert):
         r = params[rate_key]
         params[tau_key] = 1.0 / r if r > 0 else np.inf
         sr = uncert[rate_key]
-        uncert[tau_key] = sr / r**2 if r > 0 else np.inf
+        uncert[tau_key] = sr / r**2 if r > 0 and r**2 > 0 else np.inf  # r**2 underflows below ~1e-154
 
     if model == "single-exponential":
         tau_of("rate", "tau")

@@ -117,7 +117,10 @@ def _boltzmann_ratio(rp: RateParams) -> float:
     """exp(-h nu / k T), the equilibrium upper/lower ground occupation ratio."""
     if math.isinf(rp.temperature):
         return 1.0
-    return math.exp(-PLANCK * rp.splitting / (BOLTZMANN * rp.temperature))
+    kt = BOLTZMANN * rp.temperature
+    if kt == 0.0:  # kT underflows: the T -> 0 limit
+        return 0.0 if rp.splitting > 0 else 1.0
+    return math.exp(-PLANCK * rp.splitting / kt)
 
 
 def thermal_state(rp: RateParams) -> FourLevelState:

@@ -146,10 +146,8 @@ def heating_budget(
         raise ValueError("p_peak must be >= 0")
     avg = p_peak * pulse_len / rep_period
     delta_t = hm.slope * avg
-    if p_peak > 0:
-        max_rate = hm.max_delta_t / (hm.slope * p_peak * pulse_len)
-    else:
-        max_rate = math.inf
+    drive = hm.slope * p_peak * pulse_len  # 0 without drive, or when the product underflows
+    max_rate = hm.max_delta_t / drive if drive > 0 else math.inf
     return HeatingReport(
         delta_t=delta_t, ok=delta_t <= hm.max_delta_t, max_rep_rate=max_rate, average_power=avg
     )

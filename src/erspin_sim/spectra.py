@@ -35,15 +35,18 @@ def line_value(ls: LineShape, f) -> np.ndarray | float:
     """Spectral density in 1/Hz at frequency ``f`` (scalar or array).
 
     Lorentzian peak value is 2/(pi fwhm); the Gaussian falls to half its
-    peak at ``center +- fwhm/2``.
+    peak at ``center +- fwhm/2``.  Raises :class:`FloatingPointError` when
+    the arithmetic overflows float64 (widths or offsets beyond about 1e154).
     """
     x = np.asarray(f, dtype=float) - ls.center
-    if ls.kind == "lorentzian":
-        hw = ls.fwhm / 2.0
-        out = (hw / np.pi) / (x**2 + hw**2)
-    else:
-        sigma = ls.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        out = np.exp(-(x**2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
+    fwhm = np.float64(ls.fwhm)  # a Python float would raise OverflowError when squared
+    with np.errstate(over="raise"):
+        if ls.kind == "lorentzian":
+            hw = fwhm / 2.0
+            out = (hw / np.pi) / (x**2 + hw**2)
+        else:
+            sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+            out = np.exp(-(x**2) / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
     return out if out.ndim else float(out)
 
 

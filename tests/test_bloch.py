@@ -372,6 +372,13 @@ class TestSequence:
         with pytest.raises(ValueError):
             bloch.Sequence(("wait",))
 
+    def test_rejects_t2_not_positive(self):
+        for t2 in (0.0, -1e-7, math.nan):
+            with pytest.raises(ValueError):
+                bloch.Sequence((bloch.Delay(1e-7),), t2=t2)
+
     def test_bloch_vector_norm_validation(self):
         with pytest.raises(ValueError):
             bloch.BlochVector(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            bloch.BlochVector(math.nan, 0.0, 0.0)

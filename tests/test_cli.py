@@ -1,8 +1,16 @@
+import math
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
-from erspin_sim import cli, fitting
+from erspin_sim import cli, experiments, fitting
 from erspin_sim.experiments import EXPERIMENT_NAMES
+
+FLOAT_MAX = "1.7976931348623157e308"
 
 
 def unconverged_least_squares(fun, x0, **kwargs):
@@ -50,14 +58,37 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["holeburn", "--set", "wait_min_s=0.5"], "wait_min_s"),
+            (["holeburn", "--set", f"wait_min_s={FLOAT_MAX}", "--set", f"wait_max_s={FLOAT_MAX}"], "wait_max_s"),
+            (["echo", "--set", "tau_min_s=2e-6"], "tau_min_s"),
+            (["resonator", "--set", "f0_hz=1e8"], "f0_hz"),
+            (["pumping-efficiency", "--set", "probe_width_hz=1e8"], "probe_width_hz"),
+            # numpy rejects both sizes before it allocates anything
+            (["heating-budget", "--set", "points=100000000000000000000"], "points"),
+            (["rabi", "--set", "trace_points=1000000000000000000"], "trace_points"),
+        ],
+        ids=["wait-order", "wait-overflow", "tau-order", "span", "probe-kernel", "size", "memory"],
+    )
+    def test_build_rejects_inputs_its_grids_cannot_take(self, tmp_path, capsys, argv, key):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "argv, stall, message",
         [
             (["rabi"], "quadrature", "quadrature stalled"),
             (["resonator", "--set", "points=301"], "optimizer", "lorentzian fit did not converge"),
             # nothing is depleted, so the same-burn area ratio is undefined
             (["pumping-efficiency", "--set", "pump_rate_flip=0"], None, "area_ratio_same_burn_populations"),
+            # the response underflows to zero, so the fitted peak has no loss in dB
+            (["resonator", "--set", "insertion_loss_db=1.49e7"], None, "insertion_loss_db"),
+            (["echo", "--set", "line_fwhm_hz=1e300"], None, "overflow"),
         ],
-        ids=["quadrature", "optimizer", "non-finite-summary"],
+        ids=["quadrature", "optimizer", "non-finite-summary", "zero-peak-power", "line-overflow"],
     )
     def test_numerical_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys, argv, stall, message):
         from erspin_sim.bloch import ConvergenceError
@@ -73,6 +104,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical error" in err and message in err
         assert not any(tmp_path.iterdir())  # no trace or summary written
+
+
+# 0, negative, tiny, huge, infinite and random values, positive ones drawn
+# apart so that runs get past the range checks more often
+odd_floats = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e300, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+    st.floats(min_value=0.0, exclude_min=True),
+)
+
+
+@st.composite
+def fuzzed_sets(draw, experiment):
+    """``--set`` arguments giving up to three float keys of ``experiment`` odd values."""
+    keys = sorted(key for key, param in experiments.EXPERIMENTS[experiment][1].items() if param.kind == "float")
+    values = draw(st.dictionaries(st.sampled_from(keys), odd_floats, min_size=1, max_size=3))
+    return [arg for key, value in values.items() for arg in ("--set", f"{key}={value!r}")]
+
+
+class TestFuzzedOverrides:
+    # Integer keys keep their defaults; echo runs on a small grid.
+    # pumping-efficiency is left out: its probe kernel has about
+    # 600 probe_width_hz / line_fwhm_hz points, which only the build's
+    # probe-width check keeps from reaching gigabytes.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("experiment", ["holeburn", "resonator", "heating-budget", "echo"])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_exit_code_is_0_2_or_3(self, experiment, data):
+        argv = [experiment, "--set", "n_samples=11", "--set", "tau_points=16"] if experiment == "echo" else [experiment]
+        argv += data.draw(fuzzed_sets(experiment))
+        with tempfile.TemporaryDirectory() as out:
+            rc = cli.main([*argv, "--out", out])
+            assert rc in (0, 2, 3)
+            if rc:
+                assert not os.listdir(out)
 
 
 class TestArtifacts:

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from erspin_sim import experiments
+from erspin_sim.config import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +93,11 @@ def test_excited_preset_rabi_roundtrip(tmp_path):
     assert s["rabi_frequency_set_hz"] == 6.2e6
     assert s["rabi_frequency_hz"] == pytest.approx(6.2e6, rel=0.01)
     assert s["pi_fidelity_line_avg"] < 0.6  # slower drive over the same line
+
+
+def test_run_checks_a_config_changed_after_build_config(tmp_path):
+    cfg = experiments.build_config("echo", output_dir=tmp_path)
+    cfg.params["tau_min_s"] = 2e-6  # past tau_max_s
+    with pytest.raises(ConfigError, match="tau_min_s"):
+        experiments.run(cfg)
+    assert not any(tmp_path.iterdir())

@@ -47,6 +47,12 @@ class TestExponentials:
         assert res.parameters["tau_fast"] == pytest.approx(11e-3, rel=1e-6)
         assert res.parameters["tau_slow"] >= res.parameters["tau_fast"]
 
+    def test_rate_too_small_to_square(self):
+        t = np.linspace(0.0, 1e200, 50)
+        res = fitting.fit((t, np.exp(-t / 1e199)), "single-exponential")
+        assert res.parameters["tau"] == pytest.approx(1e199, rel=1e-6)
+        assert res.uncertainties["tau"] == math.inf  # sigma_rate / rate**2 with rate**2 = 0
+
     def test_constant_trace_yields_zero_amplitude(self):
         t = np.linspace(0.0, 1.0, 50)
         res = fitting.fit((t, np.zeros(50)), "single-exponential")

@@ -47,6 +47,13 @@ class TestGenerator:
         assert expected == pytest.approx(0.0932, abs=2e-4)
         assert state.ground_polarization == pytest.approx(expected, abs=1e-9)
 
+    def test_thermal_state_when_kt_underflows(self):
+        # k T is 0 in float64 below about 1e-300 K: the T -> 0 limit
+        frozen = pumping.RateParams(temperature=5e-324)
+        assert pumping.thermal_state(frozen).populations == (1.0, 0.0, 0.0, 0.0)
+        degenerate = pumping.RateParams(temperature=5e-324, splitting=0.0)
+        assert pumping.thermal_state(degenerate).populations == (0.5, 0.5, 0.0, 0.0)
+
     def test_detailed_balance_ratio(self):
         rp = pumping.RateParams(temperature=0.8, splitting=3.12e9)
         k = pumping.rate_generator(rp)

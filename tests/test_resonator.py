@@ -103,6 +103,10 @@ class TestHeatingBudget:
             scaled = resonator.heating_budget(self.hm, 100.0, 33e-9, 1e-3 / k).delta_t
             assert scaled == pytest.approx(k * base, rel=1e-12)
 
+    def test_drive_product_underflow_leaves_rate_unbounded(self):
+        report = resonator.heating_budget(self.hm, 5e-324, 1e-12, 1.0)
+        assert report.max_rep_rate == math.inf
+
     def test_period_shorter_than_pulse_rejected(self):
         with pytest.raises(ValueError):
             resonator.heating_budget(self.hm, 100.0, 1e-6, 1e-7)

@@ -41,6 +41,11 @@ class TestLineValue:
         assert got == pytest.approx(expected, abs=1e-6)
         assert got == pytest.approx(0.99363, abs=1e-4)
 
+    @pytest.mark.parametrize("kind", spectra.LINE_KINDS)
+    def test_overflow_is_a_numerical_error(self, kind):
+        with pytest.raises(FloatingPointError):
+            spectra.line_value(spectra.LineShape(kind, 1e300), 0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             spectra.LineShape("boxcar", 1e6)
