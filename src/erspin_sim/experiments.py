@@ -134,12 +134,18 @@ def _interp_max(x, y):
     return float(x[i])
 
 
-def _grid(key: str, space, *args) -> np.ndarray:
-    """``space(*args)``; a size numpy cannot allocate is an error of ``key``."""
+def _grid(space, start, stop, num, size_key: str, ends_key: str | None = None) -> np.ndarray:
+    """``space(start, stop, num)``.
+
+    A non-finite end is an error of ``ends_key``, a size numpy cannot
+    allocate one of ``size_key``.
+    """
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{ends_key} must be finite: a grid needs finite ends")
     try:
-        return space(*args)
+        return space(start, stop, num)
     except (ValueError, MemoryError) as exc:
-        raise ValueError(f"{key}: {exc}") from None
+        raise ValueError(f"{size_key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +156,9 @@ def _build_rabi(params, seed):
     spec = _ensemble_from(params, seed)
     f_set = params["rabi_frequency_hz"]
     omega = 2.0 * math.pi * f_set
-    t = _grid("trace_points", np.linspace, 0.0, params["trace_periods"] / f_set, params["trace_points"])
+    t = _grid(
+        np.linspace, 0.0, params["trace_periods"] / f_set, params["trace_points"], "trace_points", "trace_periods"
+    )
 
     def measure():
         times, inversion = bloch.rabi_trace(spec, omega, t)
@@ -175,7 +183,7 @@ def _build_rabi(params, seed):
 def _build_ramsey(params, seed):
     spec = _ensemble_from(params, seed)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
-    taus = _grid("tau_points", np.linspace, 0.0, params["tau_max_s"], params["tau_points"])
+    taus = _grid(np.linspace, 0.0, params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
 
     def measure():
         x, sig = bloch.ramsey_trace(spec, omega, taus, t2=params["t2_s"], ideal_pulses=params["ideal_pulses"])
@@ -197,7 +205,7 @@ def _build_echo(params, seed):
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
     if not params["tau_min_s"] <= params["tau_max_s"]:
         raise ValueError("tau_min_s must be <= tau_max_s")
-    taus = _grid("tau_points", np.linspace, params["tau_min_s"], params["tau_max_s"], params["tau_points"])
+    taus = _grid(np.linspace, params["tau_min_s"], params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
 
     def measure():
         x2, amp = bloch.echo_trace(spec, omega, taus, params["t2_s"], ideal_pulses=params["ideal_pulses"])
@@ -216,9 +224,13 @@ def _build_echo(params, seed):
 
 def _build_holeburn(params, seed):
     rp = _rate_params_from(params)
+    if rp.pump_rate_flip == 0.0 and rp.pump_rate_preserve == 0.0:
+        raise ValueError("pump_rate_flip or pump_rate_preserve must be > 0, or the burn leaves no antihole to fit")
     if not params["wait_min_s"] <= params["wait_max_s"]:
         raise ValueError("wait_min_s must be <= wait_max_s")
-    waits = _grid("wait_points", np.geomspace, params["wait_min_s"], params["wait_max_s"], params["wait_points"] - 1)
+    waits = _grid(
+        np.geomspace, params["wait_min_s"], params["wait_max_s"], params["wait_points"] - 1, "wait_points", "wait_max_s"
+    )
     if not (np.all(np.isfinite(waits)) and np.all(np.diff(waits) >= 0)):  # geomspace overflow or rounding
         raise ValueError("wait_min_s and wait_max_s give no finite ascending wait grid")
     waits = np.concatenate([[0.0], waits])
@@ -256,14 +268,17 @@ def _build_pumping_efficiency(params, seed):
         raise ValueError("probe_width_hz must be <= (10/3) line_fwhm_hz")
 
     def measure():
-        eff_th = pumping.pumping_efficiency(rp, burn, baseline="thermal")
-        eff_up = pumping.pumping_efficiency(rp, burn, baseline="unpolarized")
+        # one flip burn gives both efficiencies and the target population
+        thermal = pumping.thermal_state(rp)
+        burned = pumping.evolve(thermal, rp, burn)
+        eff_th = pumping.transfer_efficiency(burned, thermal, baseline="thermal")
+        eff_up = pumping.transfer_efficiency(burned, thermal, baseline="unpolarized")
         antihole = spectra.antihole_spectrum(line, max(min(eff_th, 1.0), -1.0), rm)
         unit_hole = spectra.antihole_spectrum(line, -1.0, rm)
         area_ratio = spectra.hole_area_ratio(unit_hole, antihole)
 
-        p_th = pumping.thermal_state(rp).as_array()
-        p_anti = pumping.evolve(pumping.thermal_state(rp), rp, burn).as_array()
+        p_th = thermal.as_array()
+        p_anti = burned.as_array()
         p_hole = pumping.evolve(pumping.thermal_state(rp_hole), rp_hole, burn).as_array()
         depletion = p_th[0] - p_hole[0]
         ratio_same_burn = (p_anti[0] - p_th[0]) / depletion if depletion > 0 else math.nan
@@ -273,7 +288,8 @@ def _build_pumping_efficiency(params, seed):
             "efficiency_unpolarized_baseline": eff_up,
             "area_ratio_vs_unit_hole": area_ratio,
             "area_ratio_same_burn_populations": float(ratio_same_burn),
-            "antihole_fwhm_hz": spectra.profile_fwhm(antihole),
+            # a burn that moves nothing leaves a flat profile, which has no width
+            "antihole_fwhm_hz": spectra.profile_fwhm(antihole) if eff_th != 0.0 else math.nan,
             "target_population_after_burn": float(p_anti[0]),
             "thermal_target_population": float(p_th[0]),
         }
@@ -291,7 +307,8 @@ def _build_resonator(params, seed):
     )
     if not params["span_hz"] < 2.0 * rp.f0:
         raise ValueError("span_hz must be < 2 f0_hz, so the sweep stays at positive frequencies")
-    f = _grid("points", np.linspace, rp.f0 - params["span_hz"] / 2, rp.f0 + params["span_hz"] / 2, params["points"])
+    half = params["span_hz"] / 2
+    f = _grid(np.linspace, rp.f0 - half, rp.f0 + half, params["points"], "points", "f0_hz")
 
     def measure():
         db = np.asarray(resonator.s21(rp, f))
@@ -320,7 +337,7 @@ def _build_heating_budget(params, seed):
     p_peak, pulse_len, rep_period = params["p_peak_w"], params["pulse_len_s"], params["rep_period_s"]
     if not rep_period >= pulse_len:
         raise ValueError("rep_period_s must be >= pulse_len_s")
-    rates = _grid("points", np.geomspace, 1.0, 1e5, params["points"])
+    rates = _grid(np.geomspace, 1.0, 1e5, params["points"], "points")
     periods = 1.0 / rates
 
     def measure():
@@ -405,7 +422,7 @@ EXPERIMENTS = {
         {
             "slope_k_per_w": Param(50.0, minimum=1e-9),
             "max_delta_t_k": Param(0.1, minimum=1e-9),
-            "p_peak_w": Param(100.0, minimum=0.0),
+            "p_peak_w": Param(100.0, minimum=1e-12),  # no drive leaves the rate unbounded
             "pulse_len_s": Param(33e-9, minimum=1e-12),
             "rep_period_s": Param(2e-3, minimum=1e-12),
             "points": Param(101, kind="int", minimum=8),
@@ -524,8 +541,7 @@ def run(cfg: ExperimentConfig) -> dict:
             if cfg.seed is not None:
                 fh.write(f"# seed = {cfg.seed}\n")
             fh.write(f"{xname},{yname}\n")
-            for xi, yi in zip(x, y):
-                fh.write(f"{float(xi)!r},{float(yi)!r}\n")
+            fh.write(spectra.csv_rows(x, y))
 
     summary_path = cfg.output_dir / f"{stem}_summary.txt"
     with open(summary_path, "w") as fh:

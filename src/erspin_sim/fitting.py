@@ -8,7 +8,8 @@ Four model families cover every trace the experiments produce:
 * ``lorentzian``           a / (1 + (2 (x - x0) / fwhm)^2) + c
 
 Each fit is one Levenberg-Marquardt run (MINPACK through
-``scipy.optimize.least_squares(method="lm")``) on data rescaled to order
+``scipy.optimize.least_squares(method="lm")``, imported by the first fit so
+that runs without a fit never load scipy) on data rescaled to order
 unity, from a single seeded start per model: the sinusoid frequency comes
 from the discrete spectrum peak, exponential time constants from 1/e
 crossings, and the biexponential amplitudes and offset from a linear
@@ -25,7 +26,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+
+
+def _least_squares():
+    """``scipy.optimize.least_squares``, bound into this module on first use.
+
+    Once bound, the module attribute is what fits call, so a replacement
+    set with ``setattr(fitting, "least_squares", ...)`` takes its place.
+    """
+    fn = globals().get("least_squares")
+    if fn is None:
+        from scipy.optimize import least_squares as fn
+
+        globals()["least_squares"] = fn
+    return fn
+
+
+def __getattr__(name):  # PEP 562: ``fitting.least_squares`` exists before the first fit
+    if name == "least_squares":
+        return _least_squares()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FitError(RuntimeError):
@@ -184,7 +204,7 @@ def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> Fit
         p0 = _scale_params(model, merged, x0, xs, ys, forward=True)
 
     try:
-        res = least_squares(lambda p: fn(p, u) - v, p0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        res = _least_squares()(lambda p: fn(p, u) - v, p0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     except ValueError as exc:  # e.g. an initial_guess whose residuals are not finite
         raise FitError(str(exc)) from None
     if res.status <= 0:

@@ -24,8 +24,8 @@ Incoherent processes:
   probed state (hole burning).
 
 The generator is a constant 4x4 rate matrix, so evolution over an interval
-is the exact matrix exponential; no step-size issues despite rates
-spanning 1/s to >1e3/s.
+is its matrix exponential, computed by uniformization (:func:`expm`); no
+step-size issues despite rates spanning 1/s to >1e3/s.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .constants import BOLTZMANN, PLANCK
 
@@ -161,20 +160,57 @@ def rate_generator(rp: RateParams) -> np.ndarray:
     return k
 
 
-def _propagate(p: np.ndarray, rp: RateParams, t: float) -> np.ndarray:
-    return expm(rate_generator(rp) * t) @ p
+#: Taylor coefficients 1/n! of e^x, n = 0..23, in six blocks of four.
+_TAYLOR = np.array([1.0 / math.factorial(n) for n in range(24)]).reshape(6, 4)
+
+
+def expm(k) -> np.ndarray:
+    """``exp(k)`` of a rate generator (off-diagonals >= 0, columns summing to 0) or a stack of them.
+
+    Uniformization (Jensen 1953): with ``q = max_i -k_ii`` the matrix
+    ``a = I + k/q`` is column-stochastic and ``exp(k) = e^-q sum_n q^n/n! a^n``.
+    The series is summed to degree 23 at ``theta = q/2^s < 2`` (truncation
+    below 4e-18) and squared ``s`` times.  Every term is non-negative, so
+    nothing cancels and the result is entrywise accurate (Xue and Ye 2013).
+    The columns of ``exp(k)`` sum to one; dividing them by their sums, in
+    place of ``e^-q`` and again after the squarings, keeps the error that
+    rounding in the squarings builds up below ``max(1, q/5) * eps``
+    (measured against mpmath for q up to 2e5).
+    """
+    k = np.asarray(k, dtype=float)
+    n = k.shape[-1]
+    q = -k.diagonal(0, -2, -1).min(-1)
+    s = np.maximum(np.frexp(q)[1] - 1, 0)
+    theta = np.ldexp(q, -s)
+    a = np.ldexp(k, -s[..., None, None])  # theta * (I + k/q) = k/2^s + theta I
+    a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1] += theta[..., None]
+    powers = np.empty(a.shape[:-2] + (4, n, n))  # a^0 .. a^3
+    powers[..., 0, :, :] = np.eye(n)
+    powers[..., 1, :, :] = a
+    np.matmul(a, a, out=powers[..., 2, :, :])
+    np.matmul(powers[..., 2, :, :], a, out=powers[..., 3, :, :])
+    a4 = powers[..., 2, :, :] @ powers[..., 2, :, :]
+    blocks = (_TAYLOR @ powers.reshape(a.shape[:-2] + (4, n * n))).reshape(a.shape[:-2] + (6, n, n))
+    p = blocks[..., 5, :, :]
+    for j in (4, 3, 2, 1, 0):  # Paterson-Stockmeyer: Horner in a^4 over the blocks
+        p = a4 @ p + blocks[..., j, :, :]
+    p /= p.sum(axis=-2, keepdims=True)
+    for j in range(s.max(initial=0)):  # square each matrix s times
+        squared = p @ p
+        p = squared if s.ndim == 0 else np.where(s[..., None, None] > j, squared, p)
+    return p / p.sum(axis=-2, keepdims=True)
 
 
 def evolve(state: FourLevelState, rp: RateParams, t: float) -> FourLevelState:
     """Propagate ``state`` for ``t`` seconds under the constant generator.
 
-    Uses the exact matrix exponential, so composition is exact:
+    The propagator ``exp(K t)`` comes from :func:`expm` (uniformization), so
+    it is non-negative and composes to rounding:
     ``evolve(s, rp, t1 + t2) == evolve(evolve(s, rp, t1), rp, t2)``.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    p = _propagate(state.as_array(), rp, t)
-    p = np.clip(p, 0.0, None)
+    p = expm(rate_generator(rp) * t) @ state.as_array()
     return FourLevelState(tuple(p / p.sum()))
 
 
@@ -199,10 +235,10 @@ def antihole_trace(rp: RateParams, burn_duration: float, wait_grid) -> tuple[np.
         raise ValueError("wait_grid must be sorted ascending")
 
     p_th = thermal_state(rp).as_array()
-    p_burned = _propagate(p_th, rp, burn_duration)
-    k_free = rate_generator(rp.pumps_off())
-    signals = np.array([(expm(k_free * w) @ p_burned)[0] - p_th[0] for w in waits])
-    return waits, signals
+    excess = expm(rate_generator(rp) * burn_duration) @ p_th - p_th
+    # free evolution keeps the thermal state (detailed balance), so it acts on the excess alone
+    free = expm(rate_generator(rp.pumps_off()) * waits[:, None, None])  # one call for every wait
+    return waits, (free @ excess)[:, 0]
 
 
 def pumping_efficiency(rp: RateParams, burn_duration: float, baseline: str = "thermal") -> float:
@@ -216,9 +252,18 @@ def pumping_efficiency(rp: RateParams, burn_duration: float, baseline: str = "th
     """
     if burn_duration <= 0:
         raise ValueError("burn_duration must be > 0")
+    thermal = thermal_state(rp)
+    return transfer_efficiency(evolve(thermal, rp, burn_duration), thermal, baseline)
+
+
+def transfer_efficiency(burned: FourLevelState, thermal: FourLevelState, baseline: str = "thermal") -> float:
+    """Normalized excess of the target state g_low in ``burned`` over ``thermal``.
+
+    ``(p_target - ref) / (1 - ref)`` with ``ref`` the thermal target
+    population (``baseline="thermal"``) or 1/2 (``"unpolarized"``).  NaN when
+    ``ref`` is 1: a thermal state already all in g_low has nothing to gain.
+    """
     if baseline not in ("thermal", "unpolarized"):
         raise ValueError("baseline must be 'thermal' or 'unpolarized'")
-    p_th = thermal_state(rp).as_array()
-    p = _propagate(p_th, rp, burn_duration)
-    ref = p_th[0] if baseline == "thermal" else 0.5
-    return float((p[0] - ref) / (1.0 - ref))
+    ref = thermal.populations[0] if baseline == "thermal" else 0.5
+    return (burned.populations[0] - ref) / (1.0 - ref) if ref < 1.0 else math.nan

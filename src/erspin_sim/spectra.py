@@ -16,6 +16,12 @@ import numpy as np
 LINE_KINDS = ("lorentzian", "gaussian")
 
 
+def csv_rows(x, y) -> str:
+    """``x,y`` lines of shortest round-trip floats (``repr``), one per point."""
+    xs, ys = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
+    return "".join([f"{a!r},{b!r}\n" for a, b in zip(xs, ys)])
+
+
 @dataclass(frozen=True)
 class LineShape:
     """Normalized spectral density: unit area over the full axis."""
@@ -104,8 +110,7 @@ class SpectrumProfile:
         """Two-column CSV (frequency_hz, value) with a one-line header."""
         with open(path, "w") as fh:
             fh.write("frequency_hz,value\n")
-            for f, a in zip(self.freq_hz, self.alpha):
-                fh.write(f"{float(f)!r},{float(a)!r}\n")
+            fh.write(csv_rows(self.freq_hz, self.alpha))
 
     @classmethod
     def from_csv(cls, path, od_max: float | None = None) -> "SpectrumProfile":

@@ -1,12 +1,16 @@
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
+import erspin_sim
 from erspin_sim import cli, experiments, fitting
 from erspin_sim.experiments import EXPERIMENT_NAMES
 
@@ -68,8 +72,18 @@ class TestExitCodes:
             # numpy rejects both sizes before it allocates anything
             (["heating-budget", "--set", "points=100000000000000000000"], "points"),
             (["rabi", "--set", "trace_points=1000000000000000000"], "trace_points"),
+            (["rabi", "--set", "trace_periods=inf"], "trace_periods"),
+            (["ramsey", "--set", "tau_max_s=inf"], "tau_max_s"),
+            (["echo", "--set", "tau_max_s=inf"], "tau_max_s"),
+            # no drive: the repetition rate is unbounded, so there is no rate to report
+            (["heating-budget", "--set", "p_peak_w=0"], "p_peak_w"),
+            # no pump: the burn moves nothing, so there is no antihole to fit
+            (["holeburn", "--set", "pump_rate_flip=0"], "pump_rate_flip"),
         ],
-        ids=["wait-order", "wait-overflow", "tau-order", "span", "probe-kernel", "size", "memory"],
+        ids=[
+            "wait-order", "wait-overflow", "tau-order", "span", "probe-kernel", "size", "memory",
+            "rabi-infinite-end", "ramsey-infinite-end", "echo-infinite-end", "no-drive", "no-pump",
+        ],
     )
     def test_build_rejects_inputs_its_grids_cannot_take(self, tmp_path, capsys, argv, key):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
@@ -140,6 +154,33 @@ class TestFuzzedOverrides:
             assert rc in (0, 2, 3)
             if rc:
                 assert not os.listdir(out)
+
+
+COLD_START = """
+import sys, tempfile
+from erspin_sim import cli
+
+for experiment in cli.EXPERIMENT_NAMES:
+    cli.build_config(experiment)
+with tempfile.TemporaryDirectory() as out:
+    codes = [
+        cli.main(["pumping-efficiency", "--out", out]),
+        cli.main(["heating-budget", "--out", out]),
+        cli.main(["heating-budget", "--set", "no_such_key=1", "--out", out]),
+    ]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestColdStart:
+    def test_runs_without_a_fit_never_load_scipy(self):
+        # a fresh interpreter, since this one has imported scipy already
+        src = str(Path(erspin_sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert done.stdout.strip() == "[0, 0, 2] []"
 
 
 class TestArtifacts:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from erspin_sim import pumping, spectra
@@ -200,3 +202,15 @@ class TestSpectrumProfile:
         back = spectra.SpectrumProfile.from_csv(path)
         assert np.array_equal(back.freq_hz, prof.freq_hz)
         assert np.array_equal(back.alpha, prof.alpha)
+
+
+class TestCsvRows:
+    @given(st.lists(st.tuples(st.floats(), st.floats()), max_size=50))
+    def test_same_bytes_as_one_repr_per_value(self, rows):
+        x = np.array([a for a, _ in rows], dtype=float)
+        y = np.array([b for _, b in rows], dtype=float)
+        expected = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y))
+        assert spectra.csv_rows(x, y) == expected
+
+    def test_integer_input_is_written_as_floats(self):
+        assert spectra.csv_rows(np.arange(2), [3, 4]) == "0.0,3.0\n1.0,4.0\n"
