@@ -13,7 +13,11 @@ during pulses is neglected since pulse durations (tens of ns) are five
 orders of magnitude below all lifetimes.  Each member's pulse rotations are
 built once; a delay is a z-rotation by ``2 pi Delta tau``, so Ramsey and echo
 signals are evaluated in closed form in tau, as trig sums over members, like
-the Rabi trace in t.
+the Rabi trace in t.  A trig sum merges members of equal frequency (Rabi's
+generalized frequencies are even in the detuning; the two-pulse harmonics
+do not depend on the amplitude node) and splits a uniform time grid of N
+points into about sqrt(N) blocks, so it needs about 2 sqrt(N) trig values
+per frequency instead of N; a grid that is not uniform is summed directly.
 
 Ensembles carry a detuning distribution (the inhomogeneous spin line) and
 a relative Rabi-amplitude distribution (drive-field inhomogeneity).  Grid
@@ -236,23 +240,40 @@ def _pulse_matrix(omega, dw, duration, phase=0.0) -> np.ndarray:
     return _rotation(kx, ky, dw / safe, gen * duration)
 
 
-def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``sum_m c_m exp(i f_m t)`` at every t, in chunks of the time axis.
+#: Largest trig table, in elements, that ``_trig_sum`` builds at once.
+_TABLE_ELEMENTS = 2e6
 
-    Real ``c`` gives the real part only and evaluates no sines.
+
+def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``sum_m c_m exp(i f_m t)`` at every t; real ``c`` gives the real part.
+
+    Members whose frequencies are bitwise equal are merged first, their
+    coefficients summed, so no symmetry of the ensemble is assumed.  The N
+    times are then split into blocks of B: ``t[J B + j] = a_J + b_j`` with
+    block starts ``a_J = t[J B]`` and offsets ``b_j = j dt``, and the sum is
+    ``exp(i a f) @ (c exp(i f b))``, which takes (N/B + B) M trig values
+    instead of N M.  B = round(sqrt(N)), capped so that the (M, B) table
+    stays within ``_TABLE_ELEMENTS``; a grid that is not uniform to a few
+    ulps takes B = 1, which is the direct sum.  The block starts go through
+    the product in chunks of the same bound.
     """
     real = not np.iscomplexobj(c)
-    coeff = c if real else np.stack([c.real, c.imag], axis=-1)
-    out = np.empty(t.size, float if real else complex)
-    chunk = max(1, int(2e6 // max(f.size, 1)))
-    for lo in range(0, t.size, chunk):
-        phase = np.multiply.outer(t[lo : lo + chunk], f)
-        part = np.cos(phase) @ coeff
-        if not real:
-            sin = np.sin(phase) @ coeff
-            part = (part[:, 0] - sin[:, 1]) + 1j * (part[:, 1] + sin[:, 0])
-        out[lo : lo + chunk] = part
-    return out
+    f, member = np.unique(f, return_inverse=True)
+    merged = np.bincount(member, c.real, f.size)
+    c = merged if real else merged + 1j * np.bincount(member, c.imag, f.size)
+    n = t.size
+    block = max(1, min(round(math.sqrt(n)), int(_TABLE_ELEMENTS // f.size)))
+    dt = (t[-1] - t[0]) / max(n - 1, 1)
+    starts, offsets = t[::block], dt * np.arange(block)
+    if np.abs((starts[:, None] + offsets).ravel()[:n] - t).max() > 4 * np.finfo(float).eps * np.abs(t).max():
+        starts, offsets = t, np.zeros(1)  # not uniform
+    right = c[:, None] * np.exp(1j * np.multiply.outer(f, offsets))
+    rows = max(1, int(_TABLE_ELEMENTS // f.size))
+    out = np.empty((starts.size, offsets.size), complex)
+    for lo in range(0, starts.size, rows):
+        out[lo : lo + rows] = np.exp(1j * np.multiply.outer(starts[lo : lo + rows], f)) @ right
+    out = out.ravel()[:n]
+    return out.real if real else out
 
 
 def propagate(b: BlochVector, p: Pulse, detuning: float = 0.0) -> BlochVector:

@@ -159,6 +159,8 @@ def _build_rabi(params, seed):
     t = _grid(
         np.linspace, 0.0, params["trace_periods"] / f_set, params["trace_points"], "trace_points", "trace_periods"
     )
+    if not params["trace_points"] - 1 > 2.0 * params["trace_periods"]:  # Nyquist
+        raise ValueError("trace_points must exceed 2 trace_periods + 1, or the trace aliases the drive")
 
     def measure():
         times, inversion = bloch.rabi_trace(spec, omega, t)
@@ -288,8 +290,9 @@ def _build_pumping_efficiency(params, seed):
             "efficiency_unpolarized_baseline": eff_up,
             "area_ratio_vs_unit_hole": area_ratio,
             "area_ratio_same_burn_populations": float(ratio_same_burn),
-            # a burn that moves nothing leaves a flat profile, which has no width
-            "antihole_fwhm_hz": spectra.profile_fwhm(antihole) if eff_th != 0.0 else math.nan,
+            # a burn that moves nothing, or a baseline so small that the
+            # excess underflows, leaves a flat profile, which has no width
+            "antihole_fwhm_hz": spectra.profile_fwhm(antihole) if np.ptp(antihole.alpha) > 0 else math.nan,
             "target_population_after_burn": float(p_anti[0]),
             "thermal_target_population": float(p_th[0]),
         }

@@ -311,6 +311,42 @@ class TestTwoPulseOracle:
         assert np.max(np.abs(echo - ref_echo)) <= 1e-6
 
 
+@st.composite
+def trig_sums(draw):
+    """``(t, f, c)`` for ``bloch._trig_sum``.
+
+    Time grids of prime, square and other sizes, from zero or a later start,
+    uniform or quadratic; frequencies with repeats and 0; real or complex
+    coefficients.  Phases stay within 100 rad and the coefficient magnitudes
+    sum to at most 1, as in an ensemble average.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 5, 7, 13, 101, 4, 9, 16, 49, 400, 2001]))
+    span = draw(st.floats(1e-9, 1e-5))
+    t0 = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0).map(lambda x: x * span)))
+    if draw(st.booleans()):
+        t = np.linspace(t0, t0 + span, n)
+    else:
+        t = t0 + span * np.linspace(0.0, 1.0, n) ** 2
+    pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8)) + [0.0]
+    m = draw(st.integers(1, 40))
+    f = np.array(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))) * (100.0 / (t0 + span))
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)
+    c = np.array(draw(parts))
+    if draw(st.booleans()):
+        c = c + 1j * np.array(draw(parts))
+    return t, f, c / (2 * m)
+
+
+class TestTrigSum:
+    @given(trig_sums())
+    def test_equals_direct_sum(self, case):
+        t, f, c = case
+        direct = (c * np.exp(1j * np.multiply.outer(t, f))).sum(axis=1)
+        got = bloch._trig_sum(t, f, c)
+        assert np.iscomplexobj(got) == np.iscomplexobj(c)
+        assert np.max(np.abs(got - (direct if np.iscomplexobj(c) else direct.real))) <= 1e-13
+
+
 unit_vectors = (
     st.tuples(*[st.floats(-1.0, 1.0)] * 3)
     .filter(lambda v: math.hypot(*v) > 0.1)

@@ -73,6 +73,10 @@ class TestExitCodes:
             (["heating-budget", "--set", "points=100000000000000000000"], "points"),
             (["rabi", "--set", "trace_points=1000000000000000000"], "trace_points"),
             (["rabi", "--set", "trace_periods=inf"], "trace_periods"),
+            # fewer than two samples per drive period alias the Rabi oscillation
+            (["rabi", "--set", "trace_points=16"], "trace_points"),
+            (["rabi", "--set", "n_samples=11", "--set", "trace_points=32", "--set", "trace_periods=3141.5457879214155"],
+             "trace_points"),
             (["ramsey", "--set", "tau_max_s=inf"], "tau_max_s"),
             (["echo", "--set", "tau_max_s=inf"], "tau_max_s"),
             # no drive: the repetition rate is unbounded, so there is no rate to report
@@ -82,7 +86,8 @@ class TestExitCodes:
         ],
         ids=[
             "wait-order", "wait-overflow", "tau-order", "span", "probe-kernel", "size", "memory",
-            "rabi-infinite-end", "ramsey-infinite-end", "echo-infinite-end", "no-drive", "no-pump",
+            "rabi-infinite-end", "rabi-aliased", "rabi-aliased-far", "ramsey-infinite-end", "echo-infinite-end",
+            "no-drive", "no-pump",
         ],
     )
     def test_build_rejects_inputs_its_grids_cannot_take(self, tmp_path, capsys, argv, key):
@@ -101,8 +106,14 @@ class TestExitCodes:
             # the response underflows to zero, so the fitted peak has no loss in dB
             (["resonator", "--set", "insertion_loss_db=1.49e7"], None, "insertion_loss_db"),
             (["echo", "--set", "line_fwhm_hz=1e300"], None, "overflow"),
+            (["pumping-efficiency", "--set", "line_fwhm_hz=inf"], None, "overflow"),
+            # the excess absorption underflows, so the profile is flat and has no width
+            (["pumping-efficiency", "--set", "baseline_absorption=5e-324"], None, "antihole_fwhm_hz"),
         ],
-        ids=["quadrature", "optimizer", "non-finite-summary", "zero-peak-power", "line-overflow"],
+        ids=[
+            "quadrature", "optimizer", "non-finite-summary", "zero-peak-power", "line-overflow",
+            "profile-span-overflow", "profile-underflow",
+        ],
     )
     def test_numerical_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys, argv, stall, message):
         from erspin_sim.bloch import ConvergenceError
@@ -139,11 +150,12 @@ def fuzzed_sets(draw, experiment):
 
 class TestFuzzedOverrides:
     # Integer keys keep their defaults; echo runs on a small grid.
-    # pumping-efficiency is left out: its probe kernel has about
-    # 600 probe_width_hz / line_fwhm_hz points, which only the build's
-    # probe-width check keeps from reaching gigabytes.
+    # pumping-efficiency's profile grid has 4001 points whatever the line
+    # width, and its probe kernel about 1200 probe_width_hz / line_fwhm_hz + 1,
+    # which the build's 6 probe_width_hz <= 20 line_fwhm_hz check keeps to
+    # at most 4001 as well, so no drawn value makes it allocate much.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("experiment", ["holeburn", "resonator", "heating-budget", "echo"])
+    @pytest.mark.parametrize("experiment", ["holeburn", "resonator", "heating-budget", "echo", "pumping-efficiency"])
     @settings(max_examples=150)
     @given(data=st.data())
     def test_exit_code_is_0_2_or_3(self, experiment, data):

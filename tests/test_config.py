@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from erspin_sim import experiments
 from erspin_sim.config import ConfigError, parse_config_text, serialize_config
@@ -13,6 +15,23 @@ preset = ground-config
 rabi_frequency_hz = 1.2e7   # override
 n_samples = 501
 """
+
+
+def value_of(param):
+    """Values ``param`` accepts: a choice, a bool, or a number at or above its minimum."""
+    if param.choices is not None:
+        return st.sampled_from(param.choices)
+    if param.kind == "bool":
+        return st.booleans()
+    if param.kind == "int":
+        return st.integers(min_value=None if param.minimum is None else math.ceil(param.minimum))
+    return st.floats(min_value=param.minimum, allow_nan=False)
+
+
+def schema_values(experiment):
+    """A valid value for the preset and every key of ``experiment``'s schema."""
+    schema = {"preset": experiments._PRESET, **experiments.EXPERIMENTS[experiment][1]}
+    return st.fixed_dictionaries({key: value_of(param) for key, param in schema.items()})
 
 
 class TestParsing:
@@ -29,6 +48,16 @@ class TestParsing:
         once = parse_config_text(GOOD)
         again = parse_config_text(serialize_config(once))
         assert once == again
+
+    @pytest.mark.parametrize("experiment", experiments.EXPERIMENT_NAMES)
+    @given(data=st.data())
+    def test_round_trip_of_schema_values(self, experiment, data):
+        values = data.draw(schema_values(experiment))
+        text = serialize_config({key: experiments._format_value(value) for key, value in values.items()})
+        once = parse_config_text(text)
+        assert parse_config_text(serialize_config(once)) == once
+        schema = {"preset": experiments._PRESET, **experiments.EXPERIMENTS[experiment][1]}
+        assert {key: schema[key].parse(key, raw) for key, raw in once.items()} == values
 
     def test_missing_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
