@@ -70,6 +70,7 @@ from .spectra import (
     LineShape,
     ReadoutModel,
     SpectrumProfile,
+    antihole_spectra,
     antihole_spectrum,
     excited_readout_contrast,
     hole_area_ratio,

@@ -416,7 +416,7 @@ def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: boo
     dw = 2.0 * np.pi * det
     # ideal pulses are the same resonant x rotations for every member
     om, off = (rabi, 0.0) if ideal_pulses else (rabi * amp, dw)
-    half, full = (_pulse_matrix(om, off, k * np.pi / rabi) for k in (0.5, 1.0))
+    half = _pulse_matrix(om, off, 0.5 * np.pi / rabi)
     damp = np.exp(-taus / t2)
     a = -half[..., :, 2]  # (0, 0, -1) after the first pi/2 pulse
     a_perp = a[..., 0] + 1j * a[..., 1]
@@ -426,6 +426,7 @@ def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: boo
         h1 = wts * (q[..., 0] - 1j * q[..., 1]) * a_perp
         return taus, h0 + damp * _trig_sum(taus, dw, h1).real
     # transverse part after the pi pulse: alpha r_perp + beta conj(r_perp) + gamma r_z
+    full = _pulse_matrix(om, off, np.pi / rabi)
     col = full[..., 0, :] + 1j * full[..., 1, :]
     alpha = 0.5 * (col[..., 0] - 1j * col[..., 1])
     beta = 0.5 * (col[..., 0] + 1j * col[..., 1])

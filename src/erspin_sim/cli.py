@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -24,7 +25,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.
+
+    Parsing leaves it unchanged, and ``--set`` starts from no list, so one
+    call's values never reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="erspin-sim",
         description="Simulate erbium spin-ensemble initialization, control and readout experiments.",
@@ -35,20 +42,20 @@ def _parse_args(argv):
         "--set",
         dest="sets",
         action="append",
-        default=[],
+        default=None,
         metavar="KEY=VALUE",
         help="override a config key (repeatable)",
     )
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="seed for monte-carlo quadrature")
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         overrides = {}
-        for item in args.sets:
+        for item in args.sets or ():
             if "=" not in item:
                 raise ConfigError(item, "expected KEY=VALUE")
             key, value = item.split("=", 1)

@@ -148,6 +148,16 @@ def _grid(space, start, stop, num, size_key: str, ends_key: str | None = None) -
         raise ValueError(f"{size_key}: {exc}") from None
 
 
+def _check_rate_time(rp, t, time_key: str):
+    """Reject a propagation over ``t`` seconds that :func:`pumping.expm` does not resolve."""
+    qt = pumping.max_exit_rate(rp) * t
+    if not qt <= pumping.MAX_RATE_TIME:
+        raise ValueError(
+            f"{time_key} times the fastest exit rate of the rate keys (pump_rate_flip, pump_rate_preserve, "
+            f"1/t1_opt_s, 1/t1_spin_s) is {qt:.3g}, past the {pumping.MAX_RATE_TIME:.0e} the propagator resolves"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Builders.  Each returns measure() -> (summary dict, trace description).
 
@@ -236,6 +246,8 @@ def _build_holeburn(params, seed):
     if not (np.all(np.isfinite(waits)) and np.all(np.diff(waits) >= 0)):  # geomspace overflow or rounding
         raise ValueError("wait_min_s and wait_max_s give no finite ascending wait grid")
     waits = np.concatenate([[0.0], waits])
+    _check_rate_time(rp, params["burn_duration_s"], "burn_duration_s")
+    _check_rate_time(rp.pumps_off(), waits[-1], "wait_max_s")
 
     def measure():
         x, sig = pumping.antihole_trace(rp, params["burn_duration_s"], waits)
@@ -265,9 +277,10 @@ def _build_pumping_efficiency(params, seed):
     burn = params["burn_duration_s"]
     line = spectra.LineShape(params["line_kind"], params["line_fwhm_hz"])
     rm = spectra.ReadoutModel(baseline_absorption=params["baseline_absorption"], probe_width=params["probe_width_hz"])
-    # antihole_spectrum convolves a +-6 probe-width kernel over a +-20 line-width grid
+    # antihole_spectra convolves a +-6 probe-width kernel over a +-20 line-width grid
     if not 6.0 * rm.probe_width <= 20.0 * line.fwhm:
         raise ValueError("probe_width_hz must be <= (10/3) line_fwhm_hz")
+    _check_rate_time(rp, burn, "burn_duration_s")  # rp_hole empties no state faster
 
     def measure():
         # one flip burn gives both efficiencies and the target population
@@ -275,8 +288,7 @@ def _build_pumping_efficiency(params, seed):
         burned = pumping.evolve(thermal, rp, burn)
         eff_th = pumping.transfer_efficiency(burned, thermal, baseline="thermal")
         eff_up = pumping.transfer_efficiency(burned, thermal, baseline="unpolarized")
-        antihole = spectra.antihole_spectrum(line, max(min(eff_th, 1.0), -1.0), rm)
-        unit_hole = spectra.antihole_spectrum(line, -1.0, rm)
+        antihole, unit_hole = spectra.antihole_spectra(line, (max(min(eff_th, 1.0), -1.0), -1.0), rm)
         area_ratio = spectra.hole_area_ratio(unit_hole, antihole)
 
         p_th = thermal.as_array()
@@ -341,11 +353,11 @@ def _build_heating_budget(params, seed):
     if not rep_period >= pulse_len:
         raise ValueError("rep_period_s must be >= pulse_len_s")
     rates = _grid(np.geomspace, 1.0, 1e5, params["points"], "points")
-    periods = 1.0 / rates
+    rates = rates[1.0 / rates >= pulse_len]  # a period shorter than the pulse is no pulse train
 
     def measure():
         report = resonator.heating_budget(hm, p_peak, pulse_len, rep_period)
-        dts = np.array([resonator.heating_budget(hm, p_peak, pulse_len, p).delta_t for p in periods if p >= pulse_len])
+        dts = resonator.heating_budget(hm, p_peak, pulse_len, 1.0 / rates).delta_t
         summary = {
             "delta_t_k": report.delta_t,
             "ok": report.ok,
@@ -353,7 +365,7 @@ def _build_heating_budget(params, seed):
             "average_power_w": report.average_power,
             "cw_delta_t_per_mw_k": hm.slope * 1e-3,
         }
-        return summary, ("rep_rate_hz", "delta_t_k", rates[: dts.size], dts)
+        return summary, ("rep_rate_hz", "delta_t_k", rates, dts)
 
     return measure
 

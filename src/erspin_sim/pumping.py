@@ -160,6 +160,18 @@ def rate_generator(rp: RateParams) -> np.ndarray:
     return k
 
 
+def max_exit_rate(rp: RateParams) -> float:
+    """``q = max_i -K_ii`` in 1/s, the fastest rate at which any state empties."""
+    return float(-rate_generator(rp).diagonal().min())
+
+
+#: Largest ``q t`` (``q`` from :func:`max_exit_rate`) at which :func:`expm`
+#: is trusted.  Against a 60-digit mpmath reference, over random generators
+#: with rates up to 1e12 /s, the largest entrywise error grows as about
+#: ``0.25 q t eps``: 2.7e-11 at q t = 1e6, 4.6e-10 at 1e7 and 2.2e-6 at 1e11.
+#: This limit keeps it below 1e-10.
+MAX_RATE_TIME = 1e6
+
 #: Taylor coefficients 1/n! of e^x, n = 0..23, in six blocks of four.
 _TAYLOR = np.array([1.0 / math.factorial(n) for n in range(24)]).reshape(6, 4)
 

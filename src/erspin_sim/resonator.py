@@ -130,17 +130,19 @@ def field_from_power(rp: ResonatorParams, p: float, f: float | None = None) -> f
 
 
 def heating_budget(
-    hm: HeatingModel, p_peak: float, pulse_len: float, rep_period: float
+    hm: HeatingModel, p_peak: float, pulse_len: float, rep_period: float | np.ndarray
 ) -> HeatingReport:
     """Temperature rise for pulsed driving and the largest allowed rate.
 
     Average power is ``p_peak * pulse_len / rep_period`` (cw when the
     period equals the pulse length); the rise is linear in duty cycle.
-    ``max_rep_rate`` solves ``delta_t == max_delta_t``.
+    ``max_rep_rate`` solves ``delta_t == max_delta_t``.  An array of
+    periods gives arrays of ``delta_t``, ``ok`` and ``average_power``, each
+    element the one that period gives alone.
     """
     if not pulse_len > 0:
         raise ValueError("pulse_len must be > 0")
-    if rep_period < pulse_len:
+    if np.any(np.asarray(rep_period) < pulse_len):
         raise ValueError("rep_period must be >= pulse_len")
     if p_peak < 0:
         raise ValueError("p_peak must be >= 0")

@@ -16,10 +16,29 @@ import numpy as np
 LINE_KINDS = ("lorentzian", "gaussian")
 
 
+def _reprs(v: np.ndarray) -> list[str]:
+    """``repr`` of each float in ``v``, called once per distinct magnitude.
+
+    A magnitude's text gets a ``-`` wherever the sign bit is set, which is
+    what ``repr`` writes for every float: -0.0 and -inf included.  A nan
+    prints as ``nan`` whatever its sign bit, so it never gets one.
+    """
+    mags, index = np.unique(np.abs(v), return_inverse=True)
+    text = np.array([repr(m) for m in mags.tolist()], dtype=object)[index]
+    neg = np.flatnonzero(np.signbit(v) & ~np.isnan(v))
+    text[neg] = "-" + text[neg]
+    return text.tolist()
+
+
 def csv_rows(x, y) -> str:
-    """``x,y`` lines of shortest round-trip floats (``repr``), one per point."""
-    xs, ys = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
-    return "".join([f"{a!r},{b!r}\n" for a, b in zip(xs, ys)])
+    """``x,y`` lines of shortest round-trip floats, one per point.
+
+    Every value is written as ``repr`` writes it, but ``repr`` runs once
+    per distinct magnitude in a column: a mirror-symmetric profile repeats
+    each magnitude, and ``repr`` is most of the cost of writing one.
+    """
+    xs, ys = (_reprs(np.asarray(v, dtype=float)) for v in (x, y))
+    return "".join([f"{a},{b}\n" for a, b in zip(xs, ys)])
 
 
 @dataclass(frozen=True)
@@ -118,33 +137,38 @@ class SpectrumProfile:
         return cls(data[:, 0], data[:, 1], od_max=od_max)
 
 
-def antihole_spectrum(
+def antihole_spectra(
     spin_line: LineShape,
-    polarization: float,
+    polarizations,
     rm: ReadoutModel,
     span_fwhm: float = 20.0,
     points_per_fwhm: int = 100,
-) -> SpectrumProfile:
-    """Absorption profile of the probed line for a given spin polarization.
+) -> list[SpectrumProfile]:
+    """Absorption profiles of the probed line, one per spin polarization.
 
     The excess absorption is ``polarization * baseline_absorption`` at the
     line center, shaped by the spin line convolved with the probe kernel
     (peak-normalized after convolution).  Positive polarization gives an
     antihole, negative the mirror-image hole; ``polarization = -1``
-    corresponds to complete depletion of the probed state.
+    corresponds to complete depletion of the probed state.  The shape is
+    computed once, and every profile shares its grid.
 
-    The grid spacing is ``fwhm / points_per_fwhm`` which keeps the width
-    extraction error well below the 5% acceptance band at the default.
-    Raises :class:`FloatingPointError` when the span overflows float64.
+    The grid is ``center + step * j`` for ``j = -k .. k``, with step
+    ``fwhm / points_per_fwhm`` and ``k`` the ``span_fwhm * fwhm`` half span
+    over the step, rounded, so it is exactly antisymmetric about a zero
+    center.  The step keeps
+    the width extraction error well below the 5% acceptance band at the
+    default.  Raises :class:`FloatingPointError` when the span overflows
+    float64.
     """
-    if abs(polarization) > 1.0 + 1e-12:
+    if any(abs(p) > 1.0 + 1e-12 for p in polarizations):
         raise ValueError("polarization must be within [-1, 1]")
     step = spin_line.fwhm / points_per_fwhm
     half = span_fwhm * spin_line.fwhm
     if not math.isfinite(half):
         raise FloatingPointError(f"overflow: a {span_fwhm} fwhm span of a {spin_line.fwhm} Hz line is not finite")
-    n = int(round(2 * half / step)) + 1
-    f = spin_line.center + np.linspace(-half, half, n)
+    k = round(half / step)
+    f = spin_line.center + step * np.arange(-k, k + 1)
 
     shape = np.asarray(line_value(spin_line, f))
     # probe convolution on the same uniform grid, kernel truncated at +-6 widths
@@ -156,8 +180,21 @@ def antihole_spectrum(
     shape = np.convolve(shape, kernel, mode="same")
     shape = shape / shape.max()
 
-    alpha = rm.baseline_absorption * (1.0 + polarization * shape)
-    return SpectrumProfile(f, alpha, od_max=rm.baseline_absorption)
+    return [
+        SpectrumProfile(f, rm.baseline_absorption * (1.0 + p * shape), od_max=rm.baseline_absorption)
+        for p in polarizations
+    ]
+
+
+def antihole_spectrum(
+    spin_line: LineShape,
+    polarization: float,
+    rm: ReadoutModel,
+    span_fwhm: float = 20.0,
+    points_per_fwhm: int = 100,
+) -> SpectrumProfile:
+    """The one profile :func:`antihole_spectra` gives for ``polarization``."""
+    return antihole_spectra(spin_line, (polarization,), rm, span_fwhm, points_per_fwhm)[0]
 
 
 def profile_excess(profile: SpectrumProfile) -> np.ndarray:

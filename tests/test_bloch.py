@@ -285,6 +285,18 @@ class TestEcho:
         assert amp[1] == pytest.approx(math.exp(-1.0), abs=1e-9)
         assert amp[0] == pytest.approx(math.exp(-0.5), abs=1e-9)
 
+    @pytest.mark.parametrize("trace, pulses", [(bloch.ramsey_trace, 1), (bloch.echo_trace, 2)], ids=["ramsey", "echo"])
+    def test_one_pulse_stack_per_pulse_kind_used(self, monkeypatch, trace, pulses):
+        durations, pulse_matrix = [], bloch._pulse_matrix
+
+        def counted(omega, dw, duration, phase=0.0):
+            durations.append(duration)
+            return pulse_matrix(omega, dw, duration, phase)
+
+        monkeypatch.setattr(bloch, "_pulse_matrix", counted)
+        trace(spec_no_spread(n=101), OMEGA_GROUND, [0.0, 1e-7], t2=1e-6)
+        assert durations == [0.5 * math.pi / OMEGA_GROUND, math.pi / OMEGA_GROUND][:pulses]
+
     @pytest.mark.parametrize("trace", [bloch.ramsey_trace, bloch.echo_trace], ids=["ramsey", "echo"])
     def test_t2_validation(self, trace):
         for t2 in (0.0, -1e-7, math.nan):

@@ -54,6 +54,18 @@ class TestExitCodes:
     def test_malformed_set(self, tmp_path, capsys):
         assert cli.main(["rabi", "--set", "n_samples", "--out", str(tmp_path)]) == 2
 
+    def test_calls_in_one_process_share_no_arguments(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["heating-budget", "--set", "rep_period_s=1e-3", "--out", str(a)]) == 0
+        assert cli.main(["heating-budget", "--out", str(b)]) == 0
+        assert "# rep_period_s = 0.002\n" in (b / "heating-budget_trace.csv").read_text()
+        assert read_summary(b / "heating-budget_summary.txt")["ok"] == "true"
+        for argv in ([], ["rabi", "--seed", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: erspin-sim")
+
     @pytest.mark.parametrize(
         "experiment, key", [("echo", "t2_s"), ("ramsey", "t2_s"), ("rabi", "line_fwhm_hz")]
     )
@@ -83,11 +95,14 @@ class TestExitCodes:
             (["heating-budget", "--set", "p_peak_w=0"], "p_peak_w"),
             # no pump: the burn moves nothing, so there is no antihole to fit
             (["holeburn", "--set", "pump_rate_flip=0"], "pump_rate_flip"),
+            # q t past the range in which the rate propagator keeps its accuracy
+            (["pumping-efficiency", "--set", "pump_rate_flip=1e12"], "pump_rate_flip"),
+            (["holeburn", "--set", "wait_max_s=1e5"], "wait_max_s"),
         ],
         ids=[
             "wait-order", "wait-overflow", "tau-order", "span", "probe-kernel", "size", "memory",
             "rabi-infinite-end", "rabi-aliased", "rabi-aliased-far", "ramsey-infinite-end", "echo-infinite-end",
-            "no-drive", "no-pump",
+            "no-drive", "no-pump", "burn-rate-time", "wait-rate-time",
         ],
     )
     def test_build_rejects_inputs_its_grids_cannot_take(self, tmp_path, capsys, argv, key):

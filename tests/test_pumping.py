@@ -145,7 +145,7 @@ EPS = np.finfo(float).eps
 
 @st.composite
 def propagations(draw):
-    """Rate parameters, their generator K and a time t, with q t log-uniform on [1e-3, 2e5].
+    """Rate parameters, their generator K and a time t, with q t log-uniform on [1e-3, MAX_RATE_TIME].
 
     ``q = max_i -K_ii``; pump rates reach 1e5 /s.
     """
@@ -161,7 +161,7 @@ def propagations(draw):
         excited_spin_rate=draw(st.one_of(st.just(0.0), st.floats(1.0, 1e3))),
     )
     k = pumping.rate_generator(rp)
-    qt = 10.0 ** draw(st.floats(-3.0, 5.3))
+    qt = 10.0 ** draw(st.floats(-3.0, math.log10(pumping.MAX_RATE_TIME)))
     return rp, k, qt / -k.diagonal().min()
 
 

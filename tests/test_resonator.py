@@ -110,6 +110,15 @@ class TestHeatingBudget:
     def test_period_shorter_than_pulse_rejected(self):
         with pytest.raises(ValueError):
             resonator.heating_budget(self.hm, 100.0, 1e-6, 1e-7)
+        with pytest.raises(ValueError, match="rep_period must be >= pulse_len"):
+            resonator.heating_budget(self.hm, 100.0, 1e-6, np.array([1e-5, 1e-7]))
+
+    def test_array_of_periods_matches_one_call_per_period(self):
+        periods = 1.0 / np.geomspace(1.0, 1e5, 101)
+        report = resonator.heating_budget(self.hm, 37.0, 47e-9, periods)
+        for field in ("delta_t", "ok", "average_power", "max_rep_rate"):
+            alone = [getattr(resonator.heating_budget(self.hm, 37.0, 47e-9, p), field) for p in periods]
+            assert np.array_equal(np.broadcast_to(getattr(report, field), periods.shape), alone), field
 
 
 class TestFieldHomogeneity:

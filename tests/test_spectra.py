@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -81,6 +81,21 @@ class TestAntiholeSpectrum:
     def test_polarization_range_enforced(self):
         with pytest.raises(ValueError):
             spectra.antihole_spectrum(spectra.LineShape("lorentzian", 9e6), 1.5, self.rm)
+
+    @given(st.floats(1e-3, 1e12))
+    @example(6.79618e6)  # linspace's grid at this width has 3184 distinct magnitudes, not 2001
+    def test_grid_is_exactly_antisymmetric_about_a_zero_center(self, fwhm):
+        rm = spectra.ReadoutModel(probe_width=0.1 * fwhm)
+        prof = spectra.antihole_spectrum(spectra.LineShape("lorentzian", fwhm), 0.5, rm)
+        assert prof.freq_hz.size == 4001
+        assert np.array_equal(prof.freq_hz, -prof.freq_hz[::-1])
+
+    def test_profiles_of_one_call_are_those_of_one_call_each(self):
+        line = spectra.LineShape("gaussian", 7.3e6)
+        profiles = spectra.antihole_spectra(line, (0.37, -1.0), self.rm)
+        for pol, prof in zip((0.37, -1.0), profiles):
+            alone = spectra.antihole_spectrum(line, pol, self.rm)
+            assert np.array_equal(prof.freq_hz, alone.freq_hz) and np.array_equal(prof.alpha, alone.alpha)
 
     def test_symmetry_about_center(self):
         line = spectra.LineShape("lorentzian", 9e6, center=1e6)
@@ -204,11 +219,28 @@ class TestSpectrumProfile:
         assert np.array_equal(back.alpha, prof.alpha)
 
 
+# zeros, infinities, nan, the smallest subnormal and a larger one, a normal float
+SPECIAL_FLOATS = (0.0, math.inf, math.nan, 5e-324, 1.5e-310, 0.1)
+
+
+@st.composite
+def float_columns(draw):
+    """Two equal-length columns of floats drawn, each with either sign, from a small pool.
+
+    The pool makes magnitudes repeat and ``+-`` pairs mirror; ``-v`` sets the
+    sign bit of zeros and nan too.
+    """
+    pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)), min_size=1, max_size=12))
+    n = draw(st.integers(0, 50))
+    signed = st.tuples(st.sampled_from(pool), st.booleans()).map(lambda vs: -vs[0] if vs[1] else vs[0])
+    return tuple(np.array(draw(st.lists(signed, min_size=n, max_size=n)), dtype=float) for _ in range(2))
+
+
 class TestCsvRows:
-    @given(st.lists(st.tuples(st.floats(), st.floats()), max_size=50))
-    def test_same_bytes_as_one_repr_per_value(self, rows):
-        x = np.array([a for a, _ in rows], dtype=float)
-        y = np.array([b for _, b in rows], dtype=float)
+    @given(float_columns())
+    @example((np.array([0.0, -0.0, math.inf, -math.inf]), np.array([math.nan, -math.nan, 5e-324, -5e-324])))
+    def test_same_bytes_as_one_repr_per_value(self, columns):
+        x, y = columns
         expected = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y))
         assert spectra.csv_rows(x, y) == expected
 
