@@ -11,13 +11,16 @@ by the angle ``sqrt(Omega^2 + (2 pi Delta)^2) * duration``.  Pulses are
 propagated by this exact rotation rather than by ODE stepping; relaxation
 during pulses is neglected since pulse durations (tens of ns) are five
 orders of magnitude below all lifetimes.  Each member's pulse rotations are
-built once; a delay is a z-rotation by ``2 pi Delta tau``, so Ramsey and echo
-signals are evaluated in closed form in tau, as trig sums over members, like
-the Rabi trace in t.  A trig sum merges members of equal frequency (Rabi's
-generalized frequencies are even in the detuning; the two-pulse harmonics
-do not depend on the amplitude node) and splits a uniform time grid of N
-points into about sqrt(N) blocks, so it needs about 2 sqrt(N) trig values
-per frequency instead of N; a grid that is not uniform is summed directly.
+built once, as a (3, 3, members) stack with the members last; a delay is a
+z-rotation by ``2 pi Delta tau``, so Ramsey and echo signals are evaluated
+in closed form in tau, as trig sums over members, like the Rabi trace in t.
+A trig sum merges members of equal frequency (Rabi's generalized frequencies
+are even in the detuning; the two-pulse harmonics do not depend on the
+amplitude node) and splits a uniform time grid of N points into about
+sqrt(N) blocks whose tables are complex powers of one step, so it needs 3
+trig values per frequency, and products about 2 log2(sqrt(N)) roundings
+deep, instead of N trig values; a grid that is not uniform is summed
+directly.
 
 Ensembles carry a detuning distribution (the inhomogeneous spin line) and
 a relative Rabi-amplitude distribution (drive-field inhomogeneity).  Grid
@@ -223,13 +226,31 @@ def _sample_line(rng, line: LineShape, n: int, span_fwhm: float) -> np.ndarray:
 
 
 def _rotation(kx, ky, kz, angle) -> np.ndarray:
-    """(..., 3, 3) Rodrigues matrices about unit axes (kx, ky, kz) by angle."""
+    """(3, 3, ...) Rodrigues matrices about unit axes (kx, ky, kz) by angle.
+
+    Members go last, so each entry is one contiguous array, written as
+    ``(c delta_ij + s cross_ij) + ((1 - c) k_i) k_j`` with ``cross`` the
+    cross-product matrix of k.  These are the operations of
+    ``c I + s cross + (1 - c) k k^T`` evaluated left to right, so every
+    entry, signed zeros included, is bitwise the same for a member alone
+    and in a stack.
+    """
     kx, ky, kz, angle = np.broadcast_arrays(kx, ky, kz, angle)
-    zero = np.zeros_like(angle)
-    cross = np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero], -1).reshape(angle.shape + (3, 3))
-    k = np.stack([kx, ky, kz], -1)[..., None]
-    c, s = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
-    return c * np.eye(3) + s * cross + (1.0 - c) * k * np.swapaxes(k, -1, -2)
+    c, s = np.cos(angle), np.sin(angle)
+    k = (kx, ky, kz)
+    sk = [s * ki for ki in k]
+    diag, off, vers = c + s * 0.0, c * 0.0, 1.0 - c
+    out = np.empty((3, 3) + angle.shape)
+    for i in range(3):
+        ck = vers * k[i]
+        for j in range(3):
+            out[i, j] = ck * k[j]
+        # cross = [[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]]
+        j, l = (i + 1) % 3, (i + 2) % 3
+        out[i, i] += diag
+        out[i, j] += off - sk[l]
+        out[i, l] += off + sk[j]
+    return out
 
 
 def _pulse_matrix(omega, dw, duration, phase=0.0) -> np.ndarray:
@@ -244,34 +265,55 @@ def _pulse_matrix(omega, dw, duration, phase=0.0) -> np.ndarray:
 _TABLE_ELEMENTS = 2e6
 
 
+def _powers(first: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """(n, M) table ``first * z**k``, k < n, by doubling.
+
+    ``out[m:2m] = out[:m] * z**m`` with ``z**m`` from repeated squaring, so
+    no entry is more than about 2 log2(n) products away from a trig value.
+    """
+    out = np.empty((n,) + first.shape, complex)
+    out[0] = first
+    m, zm = 1, z
+    while m < n:
+        out[m : 2 * m] = out[: min(m, n - m)] * zm
+        m, zm = 2 * m, zm * zm
+    return out
+
+
 def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``sum_m c_m exp(i f_m t)`` at every t; real ``c`` gives the real part.
 
     Members whose frequencies are bitwise equal are merged first, their
-    coefficients summed, so no symmetry of the ensemble is assumed.  The N
-    times are then split into blocks of B: ``t[J B + j] = a_J + b_j`` with
-    block starts ``a_J = t[J B]`` and offsets ``b_j = j dt``, and the sum is
-    ``exp(i a f) @ (c exp(i f b))``, which takes (N/B + B) M trig values
-    instead of N M.  B = round(sqrt(N)), capped so that the (M, B) table
-    stays within ``_TABLE_ELEMENTS``; a grid that is not uniform to a few
-    ulps takes B = 1, which is the direct sum.  The block starts go through
-    the product in chunks of the same bound.
+    coefficients summed, so no symmetry of the ensemble is assumed.  A grid
+    within a few ulps of ``t[0] + k dt`` is then split into blocks of B
+    points, ``t[J B + j] = a_J + j dt``, and the sum is ``L @ R.T`` with
+    ``R[j] = c z**j``, ``z = exp(i f dt)``, and ``L[J] = exp(i f a_J0)
+    w**(J - J0)``, ``w = exp(i f B dt)``, both tables built by
+    :func:`_powers`.  A frequency thus costs 3 trig values, and products
+    about 2 log2(sqrt(N)) roundings deep, instead of the direct sum's N trig
+    values.  B = round(sqrt(N)), capped so that the (B, M) table stays
+    within ``_TABLE_ELEMENTS``; the block starts go through the product in
+    chunks of the same bound, each seeded with ``exp(i f a_J0)`` at its
+    first start ``a_J0 = t[J0 B]``.  A grid that is not uniform takes B = 1
+    and a table of ``exp(i f t)``, which is the direct sum.
     """
     real = not np.iscomplexobj(c)
     f, member = np.unique(f, return_inverse=True)
     merged = np.bincount(member, c.real, f.size)
     c = merged if real else merged + 1j * np.bincount(member, c.imag, f.size)
     n = t.size
-    block = max(1, min(round(math.sqrt(n)), int(_TABLE_ELEMENTS // f.size)))
     dt = (t[-1] - t[0]) / max(n - 1, 1)
-    starts, offsets = t[::block], dt * np.arange(block)
-    if np.abs((starts[:, None] + offsets).ravel()[:n] - t).max() > 4 * np.finfo(float).eps * np.abs(t).max():
-        starts, offsets = t, np.zeros(1)  # not uniform
-    right = c[:, None] * np.exp(1j * np.multiply.outer(f, offsets))
+    uniform = np.abs(t[0] + dt * np.arange(n) - t).max() <= 4 * np.finfo(float).eps * np.abs(t).max()
     rows = max(1, int(_TABLE_ELEMENTS // f.size))
-    out = np.empty((starts.size, offsets.size), complex)
+    block = min(round(math.sqrt(n)), rows) if uniform else 1
+    right = _powers(c.astype(complex), np.exp(1j * f * dt), block)
+    step = np.exp(1j * f * (block * dt))
+    starts = t[::block]
+    out = np.empty((starts.size, block), complex)
     for lo in range(0, starts.size, rows):
-        out[lo : lo + rows] = np.exp(1j * np.multiply.outer(starts[lo : lo + rows], f)) @ right
+        a = starts[lo : lo + rows]
+        left = _powers(np.exp(1j * f * a[0]), step, a.size) if uniform else np.exp(1j * np.multiply.outer(a, f))
+        out[lo : lo + rows] = left @ right.T
     out = out.ravel()[:n]
     return out.real if real else out
 
@@ -418,21 +460,21 @@ def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: boo
     om, off = (rabi, 0.0) if ideal_pulses else (rabi * amp, dw)
     half = _pulse_matrix(om, off, 0.5 * np.pi / rabi)
     damp = np.exp(-taus / t2)
-    a = -half[..., :, 2]  # (0, 0, -1) after the first pi/2 pulse
-    a_perp = a[..., 0] + 1j * a[..., 1]
+    a = -half[:, 2]  # (0, 0, -1) after the first pi/2 pulse
+    a_perp = a[0] + 1j * a[1]
     if not refocus:
-        q = half[..., 2, :]  # w after the second pi/2 pulse is q . r
-        h0 = (wts * q[..., 2] * a[..., 2]).sum()
-        h1 = wts * (q[..., 0] - 1j * q[..., 1]) * a_perp
+        q = half[2]  # w after the second pi/2 pulse is q . r
+        h0 = (wts * q[2] * a[2]).sum()
+        h1 = wts * (q[0] - 1j * q[1]) * a_perp
         return taus, h0 + damp * _trig_sum(taus, dw, h1).real
     # transverse part after the pi pulse: alpha r_perp + beta conj(r_perp) + gamma r_z
     full = _pulse_matrix(om, off, np.pi / rabi)
-    col = full[..., 0, :] + 1j * full[..., 1, :]
-    alpha = 0.5 * (col[..., 0] - 1j * col[..., 1])
-    beta = 0.5 * (col[..., 0] + 1j * col[..., 1])
-    gamma = col[..., 2]
+    col = full[0] + 1j * full[1]
+    alpha = 0.5 * (col[0] - 1j * col[1])
+    beta = 0.5 * (col[0] + 1j * col[1])
+    gamma = col[2]
     h0 = (wts * beta * np.conj(a_perp)).sum()
-    h1 = wts * gamma * a[..., 2]
+    h1 = wts * gamma * a[2]
     h2 = wts * alpha * a_perp
     perp = damp**2 * (h0 + _trig_sum(taus, 2.0 * dw, h2)) + damp * _trig_sum(taus, dw, h1)
     return taus, np.abs(perp)

@@ -215,8 +215,8 @@ def _build_ramsey(params, seed):
 def _build_echo(params, seed):
     spec = _ensemble_from(params, seed)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
-    if not params["tau_min_s"] <= params["tau_max_s"]:
-        raise ValueError("tau_min_s must be <= tau_max_s")
+    if not params["tau_min_s"] < params["tau_max_s"]:  # a zero span holds no time constant
+        raise ValueError("tau_min_s must be < tau_max_s")
     taus = _grid(np.linspace, params["tau_min_s"], params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
 
     def measure():
@@ -238,8 +238,8 @@ def _build_holeburn(params, seed):
     rp = _rate_params_from(params)
     if rp.pump_rate_flip == 0.0 and rp.pump_rate_preserve == 0.0:
         raise ValueError("pump_rate_flip or pump_rate_preserve must be > 0, or the burn leaves no antihole to fit")
-    if not params["wait_min_s"] <= params["wait_max_s"]:
-        raise ValueError("wait_min_s must be <= wait_max_s")
+    if not params["wait_min_s"] < params["wait_max_s"]:  # a zero span holds no time constant
+        raise ValueError("wait_min_s must be < wait_max_s")
     waits = _grid(
         np.geomspace, params["wait_min_s"], params["wait_max_s"], params["wait_points"] - 1, "wait_points", "wait_max_s"
     )

@@ -324,13 +324,13 @@ class TestTwoPulseOracle:
 
 
 @st.composite
-def trig_sums(draw):
+def trig_sums(draw, max_phase=100.0):
     """``(t, f, c)`` for ``bloch._trig_sum``.
 
     Time grids of prime, square and other sizes, from zero or a later start,
     uniform or quadratic; frequencies with repeats and 0; real or complex
-    coefficients.  Phases stay within 100 rad and the coefficient magnitudes
-    sum to at most 1, as in an ensemble average.
+    coefficients.  Phases stay within ``max_phase`` rad and the coefficient
+    magnitudes sum to at most 1, as in an ensemble average.
     """
     n = draw(st.sampled_from([1, 2, 3, 5, 7, 13, 101, 4, 9, 16, 49, 400, 2001]))
     span = draw(st.floats(1e-9, 1e-5))
@@ -341,7 +341,7 @@ def trig_sums(draw):
         t = t0 + span * np.linspace(0.0, 1.0, n) ** 2
     pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8)) + [0.0]
     m = draw(st.integers(1, 40))
-    f = np.array(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))) * (100.0 / (t0 + span))
+    f = np.array(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))) * (max_phase / (t0 + span))
     parts = st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)
     c = np.array(draw(parts))
     if draw(st.booleans()):
@@ -357,6 +357,33 @@ class TestTrigSum:
         got = bloch._trig_sum(t, f, c)
         assert np.iscomplexobj(got) == np.iscomplexobj(c)
         assert np.max(np.abs(got - (direct if np.iscomplexobj(c) else direct.real))) <= 1e-13
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("rows", [None, 4], ids=["one-table", "chunked"])
+    @given(trig_sums(max_phase=2e3))
+    def test_matches_long_double_reference_at_rabi_phases(self, rows, case):
+        """A default rabi trace reaches about 1.1e3 rad, so phases go to 2e3.
+
+        Against the sum of the same double inputs in long double, 4,000
+        random cases per table size (drawn as here) erred by at most
+        1.0 (phase + sqrt(N)) eps sum|c|, ``phase = max|f| max|t|``: the
+        factored grid is within an ulp or two of t, which costs phase eps,
+        and a power of a rounded ``exp(i f dt)`` carries its error up to
+        sqrt(N) times.  The bound is twice that.  ``chunked`` shrinks the
+        table to 4 rows, so the block starts of grids from 49 points on go
+        through the product in several chunks, each re-seeded.
+        """
+        t, f, c = case
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(bloch, "_TABLE_ELEMENTS", rows * np.unique(f).size)
+            got = bloch._trig_sum(t, f, c)
+        phase = np.multiply.outer(t.astype(np.longdouble), f.astype(np.longdouble))
+        cl = c.astype(np.clongdouble)
+        ref = (np.cos(phase) * cl + 1j * np.sin(phase) * cl).sum(axis=1)
+        ref = ref.astype(complex) if np.iscomplexobj(c) else ref.real.astype(float)
+        bound = 2.0 * (np.abs(f).max() * np.abs(t).max() + math.sqrt(t.size)) * np.finfo(float).eps
+        assert np.max(np.abs(got - ref)) <= bound * np.abs(c).sum()
 
 
 unit_vectors = (
@@ -374,6 +401,27 @@ pulses = st.builds(
 delays = st.builds(bloch.Delay, st.floats(0.0, 1e-5))
 detunings = st.floats(-5e7, 5e7)
 t2s = st.floats(1e-8, 1e-4)
+
+
+axes = st.one_of(
+    st.sampled_from([(0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (1.0, 0.0, -0.0), (-0.0, -1.0, 0.0)]),
+    unit_vectors.map(lambda b: (b.u, b.v, b.w)),
+)
+angles = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -0.5 * math.pi]), st.floats(-1e4, 1e4))
+
+
+class TestRotation:
+    @given(st.lists(st.tuples(axes, angles), min_size=1, max_size=20))
+    def test_stack_is_the_per_member_rotation(self, members):
+        """Members go last in the stack, and each is bitwise its own rotation."""
+        kx, ky, kz = np.array([axis for axis, _ in members]).T
+        angle = np.array([a for _, a in members])
+        stack = bloch._rotation(kx, ky, kz, angle)
+        assert stack.shape == (3, 3, len(members))
+        for m, ((x, y, z), a) in enumerate(members):
+            single = bloch._rotation(x, y, z, a)
+            assert stack[:, :, m].tobytes() == single.tobytes()
+            assert np.max(np.abs(single @ single.T - np.eye(3))) <= 1e-12
 
 
 class TestSequenceProperties:

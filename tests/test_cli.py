@@ -77,8 +77,13 @@ class TestExitCodes:
         "argv, key",
         [
             (["holeburn", "--set", "wait_min_s=0.5"], "wait_min_s"),
-            (["holeburn", "--set", f"wait_min_s={FLOAT_MAX}", "--set", f"wait_max_s={FLOAT_MAX}"], "wait_max_s"),
+            # geomspace overflows between the two largest floats
+            (["holeburn", "--set", "wait_min_s=1.7976931348623155e308", "--set", f"wait_max_s={FLOAT_MAX}"],
+             "wait_max_s"),
             (["echo", "--set", "tau_min_s=2e-6"], "tau_min_s"),
+            # a window of zero span holds no time constant to fit
+            (["echo", "--set", "tau_min_s=1e-6", "--set", "tau_max_s=1e-6"], "tau_min_s"),
+            (["holeburn", "--set", "wait_min_s=0.01", "--set", "wait_max_s=0.01"], "wait_min_s"),
             (["resonator", "--set", "f0_hz=1e8"], "f0_hz"),
             (["pumping-efficiency", "--set", "probe_width_hz=1e8"], "probe_width_hz"),
             # numpy rejects both sizes before it allocates anything
@@ -100,7 +105,8 @@ class TestExitCodes:
             (["holeburn", "--set", "wait_max_s=1e5"], "wait_max_s"),
         ],
         ids=[
-            "wait-order", "wait-overflow", "tau-order", "span", "probe-kernel", "size", "memory",
+            "wait-order", "wait-overflow", "tau-order", "echo-zero-span", "holeburn-zero-span", "span", "probe-kernel",
+            "size", "memory",
             "rabi-infinite-end", "rabi-aliased", "rabi-aliased-far", "ramsey-infinite-end", "echo-infinite-end",
             "no-drive", "no-pump", "burn-rate-time", "wait-rate-time",
         ],
