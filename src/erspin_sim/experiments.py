@@ -143,7 +143,8 @@ def _grid(space, start, stop, num, size_key: str, ends_key: str | None = None) -
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"{ends_key} must be finite: a grid needs finite ends")
     try:
-        return space(start, stop, num)
+        with np.errstate(over="ignore"):  # the builds reject a grid that is not finite
+            return space(start, stop, num)
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"{size_key}: {exc}") from None
 
@@ -222,11 +223,15 @@ def _build_echo(params, seed):
     def measure():
         x2, amp = bloch.echo_trace(spec, omega, taus, params["t2_s"], ideal_pulses=params["ideal_pulses"])
         res = fitting.fit((x2, amp), "single-exponential")
+        p = res.parameters
+        # the fitted amplitude refers to x2[0] = 2 tau_min_s; an extrapolation that overflows is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_zero = float(p["amplitude"] * np.exp(p["rate"] * x2[0]) + p["offset"])
         summary = {
             "t2_set_s": params["t2_s"],
             "t2_fit_s": res.parameters["tau"],
             "t2_fit_sigma_s": res.uncertainties["tau"],
-            "echo_amplitude_at_zero": res.parameters["amplitude"] + res.parameters["offset"],
+            "echo_amplitude_at_zero": at_zero,
             "fit_residual_norm": res.residual_norm,
         }
         return summary, ("two_tau_s", "echo_amplitude", x2, amp)

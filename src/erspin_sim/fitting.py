@@ -7,15 +7,20 @@ Four model families cover every trace the experiments produce:
 * ``sinusoid-decay``       a * cos(2 pi f x + phi) * exp(-rate * x) + c
 * ``lorentzian``           a / (1 + (2 (x - x0) / fwhm)^2) + c
 
+In the decays x counts from the first sample x[0], so an amplitude is the
+decaying part at x[0], not at x = 0.
+
 Each fit is one Levenberg-Marquardt run (MINPACK through
 ``scipy.optimize.least_squares(method="lm")``, imported by the first fit so
 that runs without a fit never load scipy) on data rescaled to order
-unity, from a single seeded start per model: the sinusoid frequency comes
-from the discrete spectrum peak, exponential time constants from 1/e
-crossings, and the biexponential amplitudes and offset from a linear
-least-squares solve at the seeded rates.  An optimizer that stops without
-converging raises :class:`FitError`.  Identical inputs give bit-identical
-results.
+unity, from a single start seeded by variable projection (Golub and
+Pereyra, SIAM J. Numer. Anal. 10, 1973): the parameters that enter
+nonlinearly take every value of a log grid (decay rates, each pair of rates
+for the biexponential, the Lorentzian width about the extreme of the data;
+the sinusoid frequency is the discrete spectrum peak), the amplitudes and
+offset are solved for by linear least squares, and the candidate of least
+residual is the start.  An optimizer that stops without converging raises
+:class:`FitError`.  Identical inputs give bit-identical results.
 
 One-sigma uncertainties are the Gauss-Newton covariance built from the
 optimizer's Jacobian at the optimum; they are zero for an exact fit.
@@ -84,68 +89,102 @@ def _f_lorentzian(p, x):
     return a / (1.0 + (2.0 * (x - x0) / w) ** 2) + c
 
 
-def _crossing_scale(x, z, level):
-    """First x at which |z| falls below level, as a decay-scale estimate."""
-    below = np.nonzero(np.abs(z) < level)[0]
-    if below.size and below[0] > 0:
-        return max(float(x[below[0]]), 1e-3)
-    return (x[-1] - x[0]) / 3.0 if x[-1] > x[0] else 1.0
+# ---------------------------------------------------------------------------
+# Seed by variable projection: the parameters that enter nonlinearly are
+# scanned on a grid, and the amplitudes and offset are solved for.
+
+# Grid points per nonlinear parameter, chosen on the holeburn and
+# sign-change sweeps (CHANGES.md): a pair of rates needs a finer grid, or a
+# pair bracketing the fast rate fits better than the true pair when the slow
+# amplitude is below the grid's rate error.
+_GRID = 16
+_PAIR_GRID = 128
+_PAIRS = np.array(np.triu_indices(_PAIR_GRID, 1))  # the biexponential's candidates: rates i < j
+_DEPENDENT = 1e-9  # least share of a column's squared norm outside the offset and the earlier columns
 
 
-def _seed_single_exponential(x, y):
-    c = float(y[-1])
-    a = float(y[0] - c)
-    tau = _crossing_scale(x, y - c, abs(a) / np.e if a else 1.0)
-    return np.array([a, 1.0 / tau, c])
+def _rate_grid(u, points):
+    """Rates per span on a log grid from 1 to 1/(first positive step of u).
+
+    A step below the float resolution counts as that resolution.
+    """
+    steps = np.diff(u)
+    return (1.0 / max(steps[steps > 0][0], np.finfo(float).eps)) ** np.linspace(0.0, 1.0, points)
 
 
-def _seed_biexponential(x, y):
-    c = float(y[-1])
-    z = y - c
-    i = int(np.argmax(np.abs(z)))
-    peak = float(z[i])
-    # the slow 1/e time is read after the peak, past any fast rise
-    r1 = 1.0 / _crossing_scale(x[i:], z[i:], abs(peak) / np.e if peak else 1.0)
-    r2 = 4.0 * r1
-    # Amplitudes and offset are solved for at the seeded rates.  A fast
-    # amplitude read off the peak is zero when the trace peaks at x = 0, and
-    # along a zero amplitude rate2 has no gradient.
-    basis = np.stack([np.exp(-r1 * x), np.exp(-r2 * x), np.ones_like(x)], axis=1)
-    a1, a2, c = np.linalg.lstsq(basis, y, rcond=None)[0]
-    return np.array([a1, r1, a2, r2, c])
+def _columns_single_exponential(u, v):
+    g = _rate_grid(u, _GRID)
+    return np.exp(-np.outer(g, u)), np.arange(len(g))[None], lambda i, a, c: [a[0], g[i[0]], c]
 
 
-def _seed_sinusoid_decay(x, y):
-    n = len(x)
-    dx = (x[-1] - x[0]) / (n - 1)
-    spec = np.fft.rfft(y - y.mean())
-    k = 1 + int(np.argmax(np.abs(spec[1:]))) if n > 2 else 1
-    f0 = np.fft.rfftfreq(n, d=dx)[k]
-    phi0 = float(np.angle(spec[k]))
-    a0 = float(np.sqrt(2.0) * np.std(y))
-    c0 = float(y.mean())
-    return np.array([a0, f0, phi0, 0.0, c0])
+def _columns_biexponential(u, v):
+    g = _rate_grid(u, _PAIR_GRID)
+    return np.exp(-np.outer(g, u)), _PAIRS, lambda i, a, c: [a[0], g[i[0]], a[1], g[i[1]], c]
 
 
-def _seed_lorentzian(x, y):
-    c = 0.5 * float(y[0] + y[-1])
-    z = y - c
-    i = int(np.argmax(np.abs(z)))
-    a = float(z[i])
-    x0 = float(x[i])
-    if a != 0.0:
-        inside = np.abs(z) >= abs(a) / 2.0
-        w = max(float(inside.sum()) * (x[-1] - x[0]) / max(len(x) - 1, 1), 1e-3)
+def _columns_sinusoid_decay(u, v):
+    # frequency from the discrete spectrum peak; u spans 1 in len(u) - 1 steps
+    g, n = _rate_grid(u, _GRID), len(u)
+    f = (1 + int(np.argmax(np.abs(np.fft.rfft(v - v.mean())[1:])))) * (n - 1) / n
+    decay = np.exp(-np.outer(g, u))
+    cols = np.concatenate([decay * np.cos(2.0 * np.pi * f * u), decay * np.sin(2.0 * np.pi * f * u)])
+    cands = np.stack([np.arange(len(g)), np.arange(len(g)) + len(g)])
+    # a cos(t + phi) = a cos(phi) cos(t) - a sin(phi) sin(t)
+    return cols, cands, lambda i, a, c: [np.hypot(a[0], a[1]), f, np.arctan2(-a[1], a[0]), g[i[0]], c]
+
+
+def _columns_lorentzian(u, v):
+    # widths 1/g, centered on the point farthest from the median
+    g, center = _rate_grid(u, _GRID), u[np.argmax(np.abs(v - np.median(v)))]
+    cols = 1.0 / (1.0 + (2.0 * np.outer(g, u - center)) ** 2)
+    return cols, np.arange(len(g))[None], lambda i, a, c: [a[0], center, 1.0 / g[i[0]], c]
+
+
+def _seed(columns, u, v):
+    """The candidate of least residual, with its amplitudes and offset solved for.
+
+    ``columns(u, v)`` gives every candidate column, the column indices of
+    each candidate (one row per column, candidates last) and the map from
+    (indices, amplitudes, offset) to the parameters.  Centering drops the
+    offset from the normal equations, which are eliminated column by column
+    for all candidates at once; a candidate with a column nearly dependent
+    on the offset or on its earlier columns is skipped.
+    """
+    cols, cands, params = columns(u, v)
+    mean = cols.mean(axis=1)
+    norms = np.sqrt(np.einsum("in,in->i", cols, cols))
+    unit = (cols - mean[:, None]) / norms[:, None]  # centered, over the norm before centering
+    vc = v - v.mean()
+    # the normal equations, (k, k, candidates), by einsum: a threaded BLAS call costs more here
+    if cands.size > len(cols):  # candidates share columns, so the full Gram is cheaper
+        a = np.einsum("in,jn->ij", unit, unit).ravel()[cands[:, None] * len(cols) + cands]
     else:
-        w = (x[-1] - x[0]) / 4.0
-    return np.array([a, x0, w, c])
+        blocks = unit[cands]
+        a = np.einsum("skn,tkn->stk", blocks, blocks)
+    b = np.einsum("in,n->i", unit, vc)[cands]
+    explained = np.zeros(cands.shape[1])
+    ok = np.ones(cands.shape[1], dtype=bool)
+    for t in range(len(cands)):
+        ok &= a[t, t] > _DEPENDENT
+        pivot = np.where(ok, a[t, t], 1.0)
+        explained += b[t] ** 2 / pivot
+        lower = a[t + 1 :, t] / pivot
+        a[t + 1 :, t + 1 :] -= lower[:, None] * a[t, t + 1 :]
+        b[t + 1 :] -= lower * b[t]
+    k = int(np.argmax(np.where(ok, explained, -1.0)))
+    best = cands[:, k]
+    ub = unit[best]
+    alpha = np.linalg.solve(ub @ ub.T, ub @ vc) / norms[best] if ok[k] else np.zeros(len(best))
+    return np.array(params(best, alpha, v.mean() - mean[best] @ alpha))
 
 
 _MODELS = {
-    "single-exponential": (_f_single_exponential, _seed_single_exponential, ("amplitude", "rate", "offset")),
-    "biexponential": (_f_biexponential, _seed_biexponential, ("amp1", "rate1", "amp2", "rate2", "offset")),
-    "sinusoid-decay": (_f_sinusoid_decay, _seed_sinusoid_decay, ("amplitude", "frequency", "phase", "decay_rate", "offset")),
-    "lorentzian": (_f_lorentzian, _seed_lorentzian, ("amplitude", "center", "fwhm", "offset")),
+    "single-exponential": (_f_single_exponential, ("amplitude", "rate", "offset"), _columns_single_exponential),
+    "biexponential": (_f_biexponential, ("amp1", "rate1", "amp2", "rate2", "offset"), _columns_biexponential),
+    "sinusoid-decay": (
+        _f_sinusoid_decay, ("amplitude", "frequency", "phase", "decay_rate", "offset"), _columns_sinusoid_decay
+    ),
+    "lorentzian": (_f_lorentzian, ("amplitude", "center", "fwhm", "offset"), _columns_lorentzian),
 }
 
 MODEL_NAMES = tuple(_MODELS)
@@ -169,18 +208,23 @@ def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> Fit
     ``trace`` is a pair of equal-length arrays or a sequence of (x, y)
     pairs with at least twice as many points as model parameters.  An
     ``initial_guess`` maps parameter names (see the returned
-    ``parameters``) to starting values and replaces the heuristic seed;
-    the returned residual norm never exceeds the one at the start.
+    ``parameters``) to starting values and replaces the grid seed; the
+    returned residual norm never exceeds the one at the start.
+
+    Decays run from the first sample x[0], not from x = 0: the amplitudes
+    of the exponential and sinusoid-decay models are their decaying parts at
+    x[0].  Phases and Lorentzian centers refer to x itself.
 
     Exponential models report time constants ``tau`` (and
     ``tau_slow``/``tau_fast``, sorted) alongside the raw rates.  Constant
     input is degenerate for every model; it yields a zero-amplitude result
     rather than an error.  Raises :class:`FitError` for non-finite data,
-    too few points, an unknown model or an optimizer that did not converge.
+    too few points, x values that are all equal, an unknown model or an
+    optimizer that did not converge.
     """
     if model not in _MODELS:
         raise FitError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-    fn, seeder, names = _MODELS[model]
+    fn, names, columns = _MODELS[model]
     x, y = _as_xy(trace)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise FitError("trace contains non-finite values")
@@ -190,18 +234,25 @@ def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> Fit
         order = np.argsort(x, kind="stable")
         x, y = x[order], y[order]
 
+    if not x[-1] > x[0]:
+        raise FitError("trace x values are all equal")
+
     # rescale to order unity; parameters are transformed back afterwards
-    xs = float(x[-1] - x[0]) or 1.0
+    xs = float(x[-1] - x[0])
     x0 = float(x[0])
     ys = float(np.max(np.abs(y))) or 1.0
     u = (x - x0) / xs
     v = y / ys
 
-    p0 = seeder(u, v)
+    def to_original(p):  # (scale, shift) of scaled parameters p
+        return _param_map(names, x0, xs, ys, dict(zip(names, p)).get("frequency", 0.0) / xs)
+
+    p0 = _seed(columns, u, v)
     if initial_guess is not None:
-        heuristic = _scale_params(model, dict(zip(names, p0)), x0, xs, ys, forward=False)
-        merged = _merge_guess(model, heuristic, initial_guess)
-        p0 = _scale_params(model, merged, x0, xs, ys, forward=True)
+        scale, shift = to_original(p0)
+        merged = _merge_guess(names, dict(zip(names, scale * p0 + shift)), initial_guess)
+        scale, shift = _param_map(names, x0, xs, ys, merged.get("frequency", 0.0))
+        p0 = (np.array([merged[name] for name in names]) - shift) / scale
 
     try:
         res = _least_squares()(lambda p: fn(p, u) - v, p0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
@@ -216,8 +267,9 @@ def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> Fit
     s2 = 2.0 * res.cost / max(len(u) - len(names), 1)
     cov = s2 * np.linalg.pinv(res.jac.T @ res.jac)
     popt, sigma = _canonical(model, res.x, np.sqrt(np.clip(np.diag(cov), 0.0, None)))
-    params = _scale_params(model, dict(zip(names, popt)), x0, xs, ys, forward=False)
-    uncert = _scale_params(model, dict(zip(names, sigma)), x0, xs, ys, forward=False, is_sigma=True)
+    scale, shift = to_original(popt)
+    params = dict(zip(names, (scale * popt + shift).tolist()))
+    uncert = dict(zip(names, (scale * sigma).tolist()))
     _add_time_constants(model, params, uncert)
     return FitResult(
         model=model,
@@ -250,9 +302,8 @@ def _canonical(model, p, sigma):
     return p, sigma
 
 
-def _merge_guess(model, heuristic, guess):
+def _merge_guess(names, heuristic, guess):
     """Overlay user-supplied starting values (original units) on the heuristic."""
-    names = _MODELS[model][2]
     unknown = set(guess) - set(names) - {"tau", "tau_slow", "tau_fast"}
     if unknown:
         raise FitError(f"unknown parameters in initial_guess: {sorted(unknown)}")
@@ -267,52 +318,16 @@ def _merge_guess(model, heuristic, guess):
     return out
 
 
-_X_SCALED = {  # how each parameter transforms under x -> (x - x0)/xs, y -> y/ys
-    "amplitude": "y",
-    "amp1": "y",
-    "amp2": "y",
-    "offset": "y",
-    "rate": "inv_x",
-    "rate1": "inv_x",
-    "rate2": "inv_x",
-    "decay_rate": "inv_x",
-    "frequency": "inv_x",
-    "phase": "phase",
-    "center": "x",
-    "fwhm": "dx",
-}
+def _param_map(names, x0, xs, ys, freq):
+    """``(scale, shift)`` arrays over ``names``: original = scale * scaled + shift.
 
-
-def _scale_params(model, params, x0, xs, ys, forward, is_sigma=False):
-    names = _MODELS[model][2]
-    freq = params.get("frequency", 0.0)
-    out = {}
-    for name in names:
-        val = float(params[name])
-        kind = _X_SCALED[name]
-        if kind == "y":
-            out[name] = val / ys if forward else val * ys
-        elif kind == "inv_x":
-            out[name] = val * xs if forward else val / xs
-        elif kind == "x":
-            if is_sigma:
-                out[name] = val / xs if forward else val * xs
-            else:
-                out[name] = (val - x0) / xs if forward else val * xs + x0
-        elif kind == "dx":
-            out[name] = val / xs if forward else val * xs
-        else:  # phase: shift so that it refers to x = 0
-            if is_sigma:
-                out[name] = val
-            elif forward:
-                out[name] = val + 2.0 * np.pi * freq * x0
-            else:
-                out[name] = val - 2.0 * np.pi * (freq / xs) * x0
-    if not forward and not is_sigma:
-        return out
-    if forward:
-        return np.array([out[n] for n in names])
-    return out
+    Scaled coordinates are ``(x - x0) / xs`` and ``y / ys``; ``freq`` (original
+    units) shifts the phase so that it refers to x = 0.
+    """
+    y, inv_x = (ys, 0.0), (1.0 / xs, 0.0)
+    table = dict(amplitude=y, amp1=y, amp2=y, offset=y, rate=inv_x, rate1=inv_x, rate2=inv_x, decay_rate=inv_x,
+                 frequency=inv_x, phase=(1.0, -2.0 * np.pi * freq * x0), center=(xs, x0), fwhm=(xs, 0.0))
+    return np.array([table[name] for name in names]).T
 
 
 def _add_time_constants(model, params, uncert):

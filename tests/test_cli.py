@@ -80,6 +80,12 @@ class TestExitCodes:
             # geomspace overflows between the two largest floats
             (["holeburn", "--set", "wait_min_s=1.7976931348623155e308", "--set", f"wait_max_s={FLOAT_MAX}"],
              "wait_max_s"),
+            # the overflow is the config error alone, with no numpy warning before it
+            pytest.param(
+                ["holeburn", "--set", "wait_min_s=1.7976931348623155e308", "--set", f"wait_max_s={FLOAT_MAX}"],
+                "wait_max_s",
+                marks=pytest.mark.filterwarnings("error"),
+            ),
             (["echo", "--set", "tau_min_s=2e-6"], "tau_min_s"),
             # a window of zero span holds no time constant to fit
             (["echo", "--set", "tau_min_s=1e-6", "--set", "tau_max_s=1e-6"], "tau_min_s"),
@@ -105,8 +111,8 @@ class TestExitCodes:
             (["holeburn", "--set", "wait_max_s=1e5"], "wait_max_s"),
         ],
         ids=[
-            "wait-order", "wait-overflow", "tau-order", "echo-zero-span", "holeburn-zero-span", "span", "probe-kernel",
-            "size", "memory",
+            "wait-order", "wait-overflow", "wait-overflow-one-line", "tau-order", "echo-zero-span",
+            "holeburn-zero-span", "span", "probe-kernel", "size", "memory",
             "rabi-infinite-end", "rabi-aliased", "rabi-aliased-far", "ramsey-infinite-end", "echo-infinite-end",
             "no-drive", "no-pump", "burn-rate-time", "wait-rate-time",
         ],
@@ -127,12 +133,14 @@ class TestExitCodes:
             # the response underflows to zero, so the fitted peak has no loss in dB
             (["resonator", "--set", "insertion_loss_db=1.49e7"], None, "insertion_loss_db"),
             (["echo", "--set", "line_fwhm_hz=1e300"], None, "overflow"),
+            # f0_hz +- span_hz / 2 rounds to f0_hz: the sweep has one frequency
+            (["resonator", "--set", "f0_hz=1e300"], None, "all equal"),
             (["pumping-efficiency", "--set", "line_fwhm_hz=inf"], None, "overflow"),
             # the excess absorption underflows, so the profile is flat and has no width
             (["pumping-efficiency", "--set", "baseline_absorption=5e-324"], None, "antihole_fwhm_hz"),
         ],
         ids=[
-            "quadrature", "optimizer", "non-finite-summary", "zero-peak-power", "line-overflow",
+            "quadrature", "optimizer", "non-finite-summary", "zero-peak-power", "line-overflow", "one-frequency",
             "profile-span-overflow", "profile-underflow",
         ],
     )
@@ -169,18 +177,29 @@ def fuzzed_sets(draw, experiment):
     return [arg for key, value in values.items() for arg in ("--set", f"{key}={value!r}")]
 
 
+# 11 ensemble members; rabi's 64 points resolve its default 15 drive periods
+SMALL_GRIDS = {
+    "rabi": ("n_samples=11", "trace_points=64"),
+    "ramsey": ("n_samples=11", "tau_points=16"),
+    "echo": ("n_samples=11", "tau_points=16"),
+}
+
+
 class TestFuzzedOverrides:
-    # Integer keys keep their defaults; echo runs on a small grid.
-    # pumping-efficiency's profile grid has 4001 points whatever the line
-    # width, and its probe kernel about 1200 probe_width_hz / line_fwhm_hz + 1,
-    # which the build's 6 probe_width_hz <= 20 line_fwhm_hz check keeps to
-    # at most 4001 as well, so no drawn value makes it allocate much.
+    # Integer keys keep their defaults, except that rabi, ramsey and echo
+    # run on small grids.  pumping-efficiency's profile grid has 4001 points
+    # whatever the line width, and its probe kernel about
+    # 1200 probe_width_hz / line_fwhm_hz + 1, which the build's
+    # 6 probe_width_hz <= 20 line_fwhm_hz check keeps to at most 4001 as
+    # well, so no drawn value makes it allocate much.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("experiment", ["holeburn", "resonator", "heating-budget", "echo", "pumping-efficiency"])
+    @pytest.mark.parametrize(
+        "experiment", [*SMALL_GRIDS, "holeburn", "resonator", "heating-budget", "pumping-efficiency"]
+    )
     @settings(max_examples=150)
     @given(data=st.data())
     def test_exit_code_is_0_2_or_3(self, experiment, data):
-        argv = [experiment, "--set", "n_samples=11", "--set", "tau_points=16"] if experiment == "echo" else [experiment]
+        argv = [experiment, *(arg for key in SMALL_GRIDS.get(experiment, ()) for arg in ("--set", key))]
         argv += data.draw(fuzzed_sets(experiment))
         with tempfile.TemporaryDirectory() as out:
             rc = cli.main([*argv, "--out", out])

@@ -128,6 +128,8 @@ class TestFitBehavior:
                 "single-exponential",
                 initial_guess={"lifetime": 1.0},
             )
+        with pytest.raises(fitting.FitError, match="all equal"):
+            fitting.fit((np.full(50, 3.0), np.linspace(0, 1, 50)), "lorentzian")  # nothing to place a peak on
         f = np.linspace(-5.0, 5.0, 101)
         with pytest.raises(fitting.FitError), np.errstate(divide="ignore", invalid="ignore"):
             fitting.fit((f, 1.0 / (1.0 + f**2)), "lorentzian", initial_guess={"fwhm": 0.0})
@@ -151,8 +153,9 @@ class TestRecoversSyntheticParameters:
     Ranges, relative to the sampled window of length ``span``:
     * single exponential: tau in [0.02, 1] span, |offset| <= 2 |amplitude|;
     * biexponential: tau_slow in [0.05, 0.5] span, tau_slow / tau_fast in
-      [3, 30], |amp_fast| in [0.25, 1] |amp_slow|, |offset| <= |amp_slow|, on
-      a zero-wait point plus log-spaced waits;
+      [3, 30], |amp_fast| in [0.25, 1] |amp_slow|, or in [1, 2] |amp_slow|
+      with the opposite sign (a trace that changes sign), |offset| <=
+      |amp_slow|, on a zero-wait point plus log-spaced waits;
     * damped sinusoid: 2 to 20 periods, decay rate up to 2 / span, any phase,
       |offset| <= |amplitude|;
     * Lorentzian: center in the middle 40 %, fwhm in [0.02, 0.3] span,
@@ -188,6 +191,23 @@ class TestRecoversSyntheticParameters:
         assert p["tau_slow"] == pytest.approx(t_slow, rel=1e-6)
         assert p["tau_fast"] == pytest.approx(t_fast, rel=1e-6)
         assert p["amp2"] == pytest.approx(a1 * a2, rel=1e-6)
+
+    @given(
+        span=span,
+        a1=amplitude,
+        tau_slow=st.floats(0.05, 0.5),
+        ratio=st.floats(3.0, 30.0),
+        a2=st.floats(1.0, 2.0),
+        c=fraction,
+    )
+    def test_biexponential_changing_sign(self, span, a1, tau_slow, ratio, a2, c):
+        x = span * np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 80)])
+        t_slow, t_fast = tau_slow * span, tau_slow * span / ratio
+        y = a1 * (np.exp(-x / t_slow) - a2 * np.exp(-x / t_fast) + c)
+        p = fitting.fit((x, y), "biexponential").parameters
+        assert p["tau_slow"] == pytest.approx(t_slow, rel=1e-6)
+        assert p["tau_fast"] == pytest.approx(t_fast, rel=1e-6)
+        assert p["amp2"] == pytest.approx(-a1 * a2, rel=1e-6)
 
     @given(
         span=span,
