@@ -213,11 +213,22 @@ def _build_ramsey(params, seed):
     return measure
 
 
+# The least echo envelope exp(-2 tau_min_s / t2_s) a window may start at: some
+# 3,000 times the rounding of the kernel's unit-magnitude ensemble sums, which
+# differ by at most 3.3e-16 between member orders (CHANGES.md).
+ECHO_FLOOR = 1e-12
+
+
 def _build_echo(params, seed):
     spec = _ensemble_from(params, seed)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
     if not params["tau_min_s"] < params["tau_max_s"]:  # a zero span holds no time constant
         raise ValueError("tau_min_s must be < tau_max_s")
+    if not math.exp(-2.0 * params["tau_min_s"] / params["t2_s"]) >= ECHO_FLOOR:
+        raise ValueError(
+            f"tau_min_s must be <= {-0.5 * math.log(ECHO_FLOOR):.3g} t2_s, or the echo starts below "
+            f"{ECHO_FLOOR:.0e}, where the ensemble sums round"
+        )
     taus = _grid(np.linspace, params["tau_min_s"], params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
 
     def measure():

@@ -10,20 +10,24 @@ Four model families cover every trace the experiments produce:
 In the decays x counts from the first sample x[0], so an amplitude is the
 decaying part at x[0], not at x = 0.
 
-Each fit is one Levenberg-Marquardt run (MINPACK through
-``scipy.optimize.least_squares(method="lm")``, imported by the first fit so
-that runs without a fit never load scipy) on data rescaled to order
-unity, from a single start seeded by variable projection (Golub and
-Pereyra, SIAM J. Numer. Anal. 10, 1973): the parameters that enter
-nonlinearly take every value of a log grid (decay rates, each pair of rates
-for the biexponential, the Lorentzian width about the extreme of the data;
-the sinusoid frequency is the discrete spectrum peak), the amplitudes and
-offset are solved for by linear least squares, and the candidate of least
-residual is the start.  An optimizer that stops without converging raises
-:class:`FitError`.  Identical inputs give bit-identical results.
+Each model is linear in its amplitudes and offset once at most two
+parameters are fixed: the rate, both rates, the frequency and decay rate,
+or the center and inverse width.  So every fit is a variable projection
+(Golub and Pereyra, SIAM J. Numer. Anal. 10, 1973; O'Leary and Rust,
+Comput. Optim. Appl. 54, 2013) on data rescaled to order unity: each
+evaluation solves for the amplitudes and offset, and the search runs over
+the nonlinear parameters alone.  It starts from the least residual on a log
+grid of rates (each pair of rates for the biexponential; inverse widths for
+the Lorentzian), with the sinusoid frequency at the discrete spectrum peak
+and the Lorentzian center at the point farthest from the median.  A
+Levenberg-Marquardt search with forward-difference Jacobians refines it;
+one that needs more than :data:`MAX_EVALS` evaluations raises
+:class:`FitError`.  The engine needs numpy alone, and identical inputs give
+bit-identical results.
 
-One-sigma uncertainties are the Gauss-Newton covariance built from the
-optimizer's Jacobian at the optimum; they are zero for an exact fit.
+One-sigma uncertainties are the Gauss-Newton covariance built from a
+forward-difference Jacobian of the full model at the optimum; they are zero
+for an exact fit.
 """
 
 from __future__ import annotations
@@ -32,25 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _least_squares():
-    """``scipy.optimize.least_squares``, bound into this module on first use.
-
-    Once bound, the module attribute is what fits call, so a replacement
-    set with ``setattr(fitting, "least_squares", ...)`` takes its place.
-    """
-    fn = globals().get("least_squares")
-    if fn is None:
-        from scipy.optimize import least_squares as fn
-
-        globals()["least_squares"] = fn
-    return fn
-
-
-def __getattr__(name):  # PEP 562: ``fitting.least_squares`` exists before the first fit
-    if name == "least_squares":
-        return _least_squares()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+MAX_EVALS = 1000  # residual evaluations a search may take before it counts as not converged
+_STEP = np.sqrt(np.finfo(float).eps)  # forward-difference step, relative to max(|p|, 1)
+_XTOL = 1e-8  # a search ends at a step below this share of |q|,
+_FTOL = 1e-15  # or at one whose predicted reduction is below this share of the squared residual
 
 
 class FitError(RuntimeError):
@@ -66,41 +55,64 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# Models on rescaled coordinates (x in [0, 1]-ish, y of order 1)
+# Bases: the columns that a model's amplitudes multiply, as functions of its
+# nonlinear parameters q, on rescaled coordinates (x in [0, 1], y of order
+# 1).  Each takes any number of trailing entries of q, which is how the seed
+# builds every candidate's columns in one call.  Rates enter signed, so that
+# an undamped trace sits inside the search; _canonical folds the signs.
 
 
-def _f_single_exponential(p, x):
-    a, rate, c = p
-    return a * np.exp(-np.abs(rate) * x) + c
+def _exponentials(q, u):
+    """One decay column per rate in ``q``."""
+    return np.exp(-np.outer(q, u))
 
 
-def _f_biexponential(p, x):
-    a1, r1, a2, r2, c = p
-    return a1 * np.exp(-np.abs(r1) * x) + a2 * np.exp(-np.abs(r2) * x) + c
+def _damped_cosines(q, u):
+    """Cosine columns at frequency q[0], one per decay rate in q[1:], then the sine columns."""
+    decay, phase = np.exp(-np.outer(q[1:], u)), 2.0 * np.pi * q[0] * u
+    return np.concatenate([decay * np.cos(phase), decay * np.sin(phase)])
 
 
-def _f_sinusoid_decay(p, x):
-    a, f, phi, rate, c = p
-    return a * np.cos(2.0 * np.pi * f * x + phi) * np.exp(-np.abs(rate) * x) + c
+def _lorentzians(q, u):
+    """One column centered on q[0] per inverse width in q[1:]."""
+    return 1.0 / (1.0 + (2.0 * np.outer(q[1:], u - q[0])) ** 2)
 
 
-def _f_lorentzian(p, x):
-    a, x0, w, c = p
-    return a / (1.0 + (2.0 * (x - x0) / w) ** 2) + c
+def _spectrum_peak(u, v):
+    """The frequency of the discrete spectrum peak; u spans 1 in len(u) - 1 steps."""
+    return [(1 + int(np.argmax(np.abs(np.fft.rfft(v - v.mean())[1:])))) * (len(u) - 1) / len(u)]
 
 
-# ---------------------------------------------------------------------------
-# Seed by variable projection: the parameters that enter nonlinearly are
-# scanned on a grid, and the amplitudes and offset are solved for.
-
-# Grid points per nonlinear parameter, chosen on the holeburn and
-# sign-change sweeps (CHANGES.md): a pair of rates needs a finer grid, or a
-# pair bracketing the fast rate fits better than the true pair when the slow
+# Grid points per scanned parameter, chosen on the holeburn and sign-change
+# sweeps (CHANGES.md): a pair of rates needs a finer grid, or a pair
+# bracketing the fast rate fits better than the true pair when the slow
 # amplitude is below the grid's rate error.
-_GRID = 16
-_PAIR_GRID = 128
-_PAIRS = np.array(np.triu_indices(_PAIR_GRID, 1))  # the biexponential's candidates: rates i < j
+_SINGLES = np.arange(16)[None]
+_PAIRS = np.array(np.triu_indices(128, 1))  # the biexponential's candidates: rates i < j
 _DEPENDENT = 1e-9  # least share of a column's squared norm outside the offset and the earlier columns
+_MERGED = 1e-6  # a biexponential whose second column keeps less than this share fits as the single exponential
+
+# name: (parameter names, basis, grid indices of each candidate's scanned
+# parameters, the fixed start of q, parameters from (q, amplitudes, offset))
+_MODELS = {
+    "single-exponential": (
+        ("amplitude", "rate", "offset"), _exponentials, _SINGLES, lambda u, v: [], lambda q, a, c: [a[0], q[0], c]
+    ),
+    "biexponential": (
+        ("amp1", "rate1", "amp2", "rate2", "offset"), _exponentials, _PAIRS, lambda u, v: [],
+        lambda q, a, c: [a[0], q[0], a[1], q[1], c],
+    ),
+    "sinusoid-decay": (  # a cos(t + phi) = a cos(phi) cos(t) - a sin(phi) sin(t)
+        ("amplitude", "frequency", "phase", "decay_rate", "offset"), _damped_cosines, _SINGLES, _spectrum_peak,
+        lambda q, a, c: [np.hypot(a[0], a[1]), q[0], np.arctan2(-a[1], a[0]), q[1], c],
+    ),
+    "lorentzian": (
+        ("amplitude", "center", "fwhm", "offset"), _lorentzians, _SINGLES,
+        lambda u, v: [u[np.argmax(np.abs(v - np.median(v)))]], lambda q, a, c: [a[0], q[0], 1.0 / q[1], c],
+    ),
+}
+
+MODEL_NAMES = tuple(_MODELS)
 
 
 def _rate_grid(u, points):
@@ -112,59 +124,33 @@ def _rate_grid(u, points):
     return (1.0 / max(steps[steps > 0][0], np.finfo(float).eps)) ** np.linspace(0.0, 1.0, points)
 
 
-def _columns_single_exponential(u, v):
-    g = _rate_grid(u, _GRID)
-    return np.exp(-np.outer(g, u)), np.arange(len(g))[None], lambda i, a, c: [a[0], g[i[0]], c]
+def _seed(basis, cands, fixed, u, v):
+    """The nonlinear parameters of the grid candidate of least residual.
 
-
-def _columns_biexponential(u, v):
-    g = _rate_grid(u, _PAIR_GRID)
-    return np.exp(-np.outer(g, u)), _PAIRS, lambda i, a, c: [a[0], g[i[0]], a[1], g[i[1]], c]
-
-
-def _columns_sinusoid_decay(u, v):
-    # frequency from the discrete spectrum peak; u spans 1 in len(u) - 1 steps
-    g, n = _rate_grid(u, _GRID), len(u)
-    f = (1 + int(np.argmax(np.abs(np.fft.rfft(v - v.mean())[1:])))) * (n - 1) / n
-    decay = np.exp(-np.outer(g, u))
-    cols = np.concatenate([decay * np.cos(2.0 * np.pi * f * u), decay * np.sin(2.0 * np.pi * f * u)])
-    cands = np.stack([np.arange(len(g)), np.arange(len(g)) + len(g)])
-    # a cos(t + phi) = a cos(phi) cos(t) - a sin(phi) sin(t)
-    return cols, cands, lambda i, a, c: [np.hypot(a[0], a[1]), f, np.arctan2(-a[1], a[0]), g[i[0]], c]
-
-
-def _columns_lorentzian(u, v):
-    # widths 1/g, centered on the point farthest from the median
-    g, center = _rate_grid(u, _GRID), u[np.argmax(np.abs(v - np.median(v)))]
-    cols = 1.0 / (1.0 + (2.0 * np.outer(g, u - center)) ** 2)
-    return cols, np.arange(len(g))[None], lambda i, a, c: [a[0], center, 1.0 / g[i[0]], c]
-
-
-def _seed(columns, u, v):
-    """The candidate of least residual, with its amplitudes and offset solved for.
-
-    ``columns(u, v)`` gives every candidate column, the column indices of
-    each candidate (one row per column, candidates last) and the map from
-    (indices, amplitudes, offset) to the parameters.  Centering drops the
-    offset from the normal equations, which are eliminated column by column
-    for all candidates at once; a candidate with a column nearly dependent
-    on the offset or on its earlier columns is skipped.
+    A candidate's parameters are ``fixed`` followed by the grid values that
+    one column of ``cands`` indexes.  Centering drops the offset from the
+    normal equations, which are eliminated column by column for all
+    candidates at once; a candidate with a column nearly dependent on the
+    offset or on its earlier columns is skipped.
     """
-    cols, cands, params = columns(u, v)
+    g = _rate_grid(u, cands.max() + 1)
+    cols = basis(np.concatenate([fixed, g]), u)
+    # each grid value gives len(cols) // len(g) columns: a cosine and a sine for the damped cosines
+    cols_of = (cands + len(g) * np.arange(len(cols) // len(g))[:, None, None]).reshape(-1, cands.shape[1])
     mean = cols.mean(axis=1)
     norms = np.sqrt(np.einsum("in,in->i", cols, cols))
     unit = (cols - mean[:, None]) / norms[:, None]  # centered, over the norm before centering
     vc = v - v.mean()
     # the normal equations, (k, k, candidates), by einsum: a threaded BLAS call costs more here
-    if cands.size > len(cols):  # candidates share columns, so the full Gram is cheaper
-        a = np.einsum("in,jn->ij", unit, unit).ravel()[cands[:, None] * len(cols) + cands]
+    if cols_of.size > len(cols):  # candidates share columns, so the full Gram is cheaper
+        a = np.einsum("in,jn->ij", unit, unit).ravel()[cols_of[:, None] * len(cols) + cols_of]
     else:
-        blocks = unit[cands]
+        blocks = unit[cols_of]
         a = np.einsum("skn,tkn->stk", blocks, blocks)
-    b = np.einsum("in,n->i", unit, vc)[cands]
+    b = np.einsum("in,n->i", unit, vc)[cols_of]
     explained = np.zeros(cands.shape[1])
     ok = np.ones(cands.shape[1], dtype=bool)
-    for t in range(len(cands)):
+    for t in range(len(cols_of)):
         ok &= a[t, t] > _DEPENDENT
         pivot = np.where(ok, a[t, t], 1.0)
         explained += b[t] ** 2 / pivot
@@ -172,22 +158,69 @@ def _seed(columns, u, v):
         a[t + 1 :, t + 1 :] -= lower[:, None] * a[t, t + 1 :]
         b[t + 1 :] -= lower * b[t]
     k = int(np.argmax(np.where(ok, explained, -1.0)))
-    best = cands[:, k]
-    ub = unit[best]
-    alpha = np.linalg.solve(ub @ ub.T, ub @ vc) / norms[best] if ok[k] else np.zeros(len(best))
-    return np.array(params(best, alpha, v.mean() - mean[best] @ alpha))
+    return np.concatenate([fixed, g[cands[:, k]]])
 
 
-_MODELS = {
-    "single-exponential": (_f_single_exponential, ("amplitude", "rate", "offset"), _columns_single_exponential),
-    "biexponential": (_f_biexponential, ("amp1", "rate1", "amp2", "rate2", "offset"), _columns_biexponential),
-    "sinusoid-decay": (
-        _f_sinusoid_decay, ("amplitude", "frequency", "phase", "decay_rate", "offset"), _columns_sinusoid_decay
-    ),
-    "lorentzian": (_f_lorentzian, ("amplitude", "center", "fwhm", "offset"), _columns_lorentzian),
-}
+def _project(cols, v, dependent=_DEPENDENT):
+    """Amplitudes and offset of the least-squares fit of ``v`` by ``cols`` and a constant, and its residual.
 
-MODEL_NAMES = tuple(_MODELS)
+    ``cols`` holds one or two columns.  A column that keeps at most
+    ``dependent`` of its squared norm outside the offset and the earlier
+    column gets amplitude zero, so a pair of equal rates is the single
+    exponential.
+    """
+    mean, v_mean = cols.mean(axis=1), v.mean()
+    centered, vc = cols - mean[:, None], v - v_mean
+    gram, b = centered @ centered.T, centered @ vc
+    share = np.diag(gram) / np.einsum("in,in->i", cols, cols)  # outside the offset
+    if len(b) == 2 and share[0] > dependent:  # and outside the first column
+        share[1] *= 1.0 - gram[0, 1] ** 2 / (gram[0, 0] * gram[1, 1])
+    keep = share > dependent
+    if keep.all():
+        alpha = np.linalg.solve(gram, b)
+    else:  # a column on its own, or none
+        alpha = np.divide(b, np.diag(gram), out=np.zeros(len(b)), where=keep)
+    return alpha, v_mean - mean @ alpha, vc - alpha @ centered
+
+
+def _jacobian(f, p, f0):
+    """Forward-difference Jacobian of ``f`` at ``p``, one column per parameter; ``f0`` is ``f(p)``."""
+    h = (p + _STEP * np.maximum(np.abs(p), 1.0)) - p  # steps the sums represent exactly
+    return np.stack([(f(p + hj * ej) - f0) / hj for hj, ej in zip(h, np.eye(len(p)))], axis=-1)
+
+
+def _levenberg_marquardt(residual, q, model):
+    """Minimize the squared norm of ``residual(q)`` from ``q``; return the optimum and its residual.
+
+    The damping scales the diagonal of J^T J (Marquardt).  The search ends
+    after a step below ``_XTOL`` of |q|, or one whose predicted reduction
+    is below ``_FTOL`` of the squared residual; such a step is still taken
+    where it lowers the residual.
+    """
+    r, evals, damping = residual(q), 1, 1e-3
+    while True:
+        jac = _jacobian(residual, q, r)
+        evals += len(q)
+        a, grad = jac.T @ jac, jac.T @ r
+        scale = np.diag(np.maximum(np.diag(a), np.finfo(float).eps * np.max(np.diag(a))))
+        while True:
+            if evals >= MAX_EVALS:
+                raise FitError(f"{model} fit did not converge: the limit of {MAX_EVALS} evaluations was reached")
+            if not grad.any():  # no parameter moves the residual
+                return q, r
+            step = -np.linalg.solve(a + damping * scale, grad)
+            predicted = -(2.0 * grad + a @ step) @ step  # the reduction of |r|^2 the linear model predicts
+            last = np.linalg.norm(step) <= _XTOL * np.linalg.norm(q) or not predicted > _FTOL * (r @ r)
+            trial = residual(q + step)
+            evals += 1
+            if trial @ trial < r @ r:
+                break
+            if last:
+                return q, r
+            damping *= 10.0
+        q, r, damping = q + step, trial, max(damping / 10.0, 1e-12)
+        if last:
+            return q, r
 
 
 def _as_xy(trace):
@@ -202,14 +235,11 @@ def _as_xy(trace):
     raise FitError("trace must be (x, y) arrays or a sequence of (x, y) pairs")
 
 
-def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> FitResult:
+def fit(trace, model: str) -> FitResult:
     """Least-squares fit of ``trace`` with the named model.
 
     ``trace`` is a pair of equal-length arrays or a sequence of (x, y)
-    pairs with at least twice as many points as model parameters.  An
-    ``initial_guess`` maps parameter names (see the returned
-    ``parameters``) to starting values and replaces the grid seed; the
-    returned residual norm never exceeds the one at the start.
+    pairs with at least twice as many points as model parameters.
 
     Decays run from the first sample x[0], not from x = 0: the amplitudes
     of the exponential and sinusoid-decay models are their decaying parts at
@@ -219,12 +249,12 @@ def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> Fit
     ``tau_slow``/``tau_fast``, sorted) alongside the raw rates.  Constant
     input is degenerate for every model; it yields a zero-amplitude result
     rather than an error.  Raises :class:`FitError` for non-finite data,
-    too few points, x values that are all equal, an unknown model or an
-    optimizer that did not converge.
+    too few points, x values that are all equal, an unknown model or a
+    search that did not converge.
     """
     if model not in _MODELS:
         raise FitError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-    fn, names, columns = _MODELS[model]
+    names, basis, cands, fixed, named = _MODELS[model]
     x, y = _as_xy(trace)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise FitError("trace contains non-finite values")
@@ -244,39 +274,30 @@ def fit(trace, model: str, initial_guess: dict[str, float] | None = None) -> Fit
     u = (x - x0) / xs
     v = y / ys
 
-    def to_original(p):  # (scale, shift) of scaled parameters p
-        return _param_map(names, x0, xs, ys, dict(zip(names, p)).get("frequency", 0.0) / xs)
+    def residual(q):
+        return _project(basis(q, u), v)[2]
 
-    p0 = _seed(columns, u, v)
-    if initial_guess is not None:
-        scale, shift = to_original(p0)
-        merged = _merge_guess(names, dict(zip(names, scale * p0 + shift)), initial_guess)
-        scale, shift = _param_map(names, x0, xs, ys, merged.get("frequency", 0.0))
-        p0 = (np.array([merged[name] for name in names]) - shift) / scale
+    with np.errstate(all="ignore"):  # a step into overflow or 0/0 is not taken
+        q, r = _levenberg_marquardt(residual, _seed(basis, cands, fixed(u, v), u, v), model)
+        if model == "biexponential" and _project(basis(q, u), v, _MERGED)[0][1] == 0.0:
+            # the rates merged, where two columns tend to their sum and derivative with amplitudes
+            # that grow without bound: fit the single exponential, as one rate taken twice
+            q, r = _levenberg_marquardt(lambda s: residual(np.repeat(s, 2)), q[:1], model)
+            q = np.repeat(q, 2)
+        alpha, offset, _ = _project(basis(q, u), v)
 
-    try:
-        res = _least_squares()(lambda p: fn(p, u) - v, p0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    except ValueError as exc:  # e.g. an initial_guess whose residuals are not finite
-        raise FitError(str(exc)) from None
-    if res.status <= 0:
-        raise FitError(f"{model} fit did not converge: {res.message}")
-    if not np.all(np.isfinite(res.x)):
-        raise FitError("optimization diverged")
-
-    # Gauss-Newton covariance from the optimizer's Jacobian at res.x
-    s2 = 2.0 * res.cost / max(len(u) - len(names), 1)
-    cov = s2 * np.linalg.pinv(res.jac.T @ res.jac)
-    popt, sigma = _canonical(model, res.x, np.sqrt(np.clip(np.diag(cov), 0.0, None)))
-    scale, shift = to_original(popt)
+    # Gauss-Newton covariance of (q, amplitudes, offset), carried to the named parameters
+    theta, k = np.concatenate([q, alpha, [offset]]), len(q)
+    jac = _jacobian(lambda t: t[k:-1] @ basis(t[:k], u) + t[-1], theta, v - r)
+    cov = (r @ r) / max(len(u) - len(names), 1) * np.linalg.pinv(jac.T @ jac)
+    p = np.array(named(q, alpha, offset))
+    to_named = _jacobian(lambda t: np.array(named(t[:k], t[k:-1], t[-1])), theta, p)
+    popt, sigma = _canonical(model, p, np.sqrt(np.clip(np.diag(to_named @ cov @ to_named.T), 0.0, None)))
+    scale, shift = _param_map(names, x0, xs, ys, dict(zip(names, popt)).get("frequency", 0.0) / xs)
     params = dict(zip(names, (scale * popt + shift).tolist()))
     uncert = dict(zip(names, (scale * sigma).tolist()))
     _add_time_constants(model, params, uncert)
-    return FitResult(
-        model=model,
-        parameters=params,
-        uncertainties=uncert,
-        residual_norm=float(np.sqrt(2.0 * res.cost)) * ys,
-    )
+    return FitResult(model=model, parameters=params, uncertainties=uncert, residual_norm=float(np.linalg.norm(r)) * ys)
 
 
 def _canonical(model, p, sigma):
@@ -300,22 +321,6 @@ def _canonical(model, p, sigma):
     elif model == "lorentzian":
         p[2] = abs(p[2])
     return p, sigma
-
-
-def _merge_guess(names, heuristic, guess):
-    """Overlay user-supplied starting values (original units) on the heuristic."""
-    unknown = set(guess) - set(names) - {"tau", "tau_slow", "tau_fast"}
-    if unknown:
-        raise FitError(f"unknown parameters in initial_guess: {sorted(unknown)}")
-    out = dict(heuristic)
-    out.update({k: float(vv) for k, vv in guess.items() if k in names})
-    if "tau" in guess:
-        out["rate"] = 1.0 / float(guess["tau"])
-    if "tau_slow" in guess:
-        out["rate1"] = 1.0 / float(guess["tau_slow"])
-    if "tau_fast" in guess:
-        out["rate2"] = 1.0 / float(guess["tau_fast"])
-    return out
 
 
 def _param_map(names, x0, xs, ys, freq):

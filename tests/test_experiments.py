@@ -50,6 +50,14 @@ def test_holeburn_recovers_lifetimes_when_antihole_peaks_at_zero_wait(tmp_path):
     assert s["rise_time_s"] == pytest.approx(11e-3, rel=0.10)
 
 
+def test_holeburn_with_a_negligible_fast_amplitude_fits_one_exponential(tmp_path):
+    # the fast amplitude is 0.06% of the peak, so the pair of rates merges and the fit falls back to one rate
+    sets = {"branch_same": "0.02361851222314959", "pump_rate_flip": "0", "pump_rate_preserve": "575.521730097716",
+            "t1_spin_s": "0.09385562499591005", "t1_opt_s": "0.005705479920470261"}
+    s = experiments.run(experiments.build_config("holeburn", set_overrides=sets, output_dir=tmp_path))
+    assert s["decay_time_s"] == pytest.approx(0.09397, rel=0.01)
+
+
 def test_echo_amplitude_at_zero_extrapolates_to_zero_delay(tmp_path):
     # Ideal pulses refocus every member, so the echo is exp(-2 tau / t2): 1 at zero delay.
     sets = {"ideal_pulses": "true", "tau_min_s": "1e-7", "tau_points": "32", "n_samples": "301"}

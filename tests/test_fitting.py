@@ -1,12 +1,29 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 
+import erspin_sim
 from erspin_sim import fitting
+
+# A Rabi trace of 3141.5 drive periods in 32 samples: aliased, so its fit is
+# ill-conditioned.  The build rejects such a window; the fit takes it.
+ALIASED_FIT = """
+import math
+import numpy as np
+from erspin_sim import bloch, fitting
+
+f_set = 14.9e6
+t = np.linspace(0.0, 3141.5457879214155 / f_set, 32)
+times, inversion = bloch.rabi_trace(bloch.EnsembleSpec(n_samples=11), 2.0 * math.pi * f_set, t)
+print(repr(fitting.fit((times, inversion), "sinusoid-decay").parameters))
+"""
 
 
 class TestSinusoidDecay:
@@ -94,18 +111,17 @@ class TestFitBehavior:
         assert a.parameters == b.parameters
         assert a.residual_norm == b.residual_norm
 
-    def test_initial_guess_is_not_worsened(self):
-        t = np.linspace(0.0, 0.3, 100)
-        y = 0.4 * np.exp(-t / 53e-3) + 0.02
-        guess = {"amplitude": 0.5, "tau": 0.04, "offset": 0.0}
-        res = fitting.fit((t, y), "single-exponential", initial_guess=guess)
-
-        def model(a, tau, c):
-            return a * np.exp(-t / tau) + c
-
-        start_resid = float(np.linalg.norm(model(0.5, 0.04, 0.0) - y))
-        assert res.residual_norm <= start_resid
-        assert res.parameters["tau"] == pytest.approx(53e-3, rel=1e-6)
+    def test_ill_conditioned_fit_ignores_heap_contents_and_hash_seed(self):
+        src = str(Path(erspin_sim.__file__).resolve().parents[1])
+        outputs = set()
+        for perturb, hash_seed in (("0", "0"), ("85", "1"), ("170", "2")):
+            env = dict(os.environ, MALLOC_PERTURB_=perturb, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", ALIASED_FIT], env=env, capture_output=True, text=True, timeout=120, check=True
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
 
     def test_accepts_row_pairs(self):
         t = np.linspace(0.0, 0.3, 60)
@@ -122,23 +138,10 @@ class TestFitBehavior:
             fitting.fit((t, np.array([1.0, np.nan, 0.0, 0.0, 0.0])), "single-exponential")
         with pytest.raises(fitting.FitError):
             fitting.fit((t, np.zeros(5)), "gaussian-mixture")
-        with pytest.raises(fitting.FitError):
-            fitting.fit(
-                (np.linspace(0, 1, 50), np.zeros(50)),
-                "single-exponential",
-                initial_guess={"lifetime": 1.0},
-            )
         with pytest.raises(fitting.FitError, match="all equal"):
             fitting.fit((np.full(50, 3.0), np.linspace(0, 1, 50)), "lorentzian")  # nothing to place a peak on
-        f = np.linspace(-5.0, 5.0, 101)
-        with pytest.raises(fitting.FitError), np.errstate(divide="ignore", invalid="ignore"):
-            fitting.fit((f, 1.0 / (1.0 + f**2)), "lorentzian", initial_guess={"fwhm": 0.0})
-        # an optimizer stopped at its evaluation limit is not a result
-        monkeypatch.setattr(
-            fitting,
-            "least_squares",
-            lambda fun, x0, **kw: OptimizeResult(x=x0, status=0, success=False, message="limit reached"),
-        )
+        # a search stopped at its evaluation limit is not a result
+        monkeypatch.setattr(fitting, "MAX_EVALS", 1)
         with pytest.raises(fitting.FitError, match="did not converge"):
             fitting.fit((np.linspace(0, 1, 50), np.exp(-np.linspace(0, 1, 50))), "single-exponential")
 
