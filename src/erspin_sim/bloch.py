@@ -129,13 +129,10 @@ class AmplitudeSpread:
     """Relative Rabi-amplitude distribution, uniform on [1-hw, 1+hw]."""
 
     half_width: float = 0.0
-    kind: str = "uniform"
 
     def __post_init__(self):
         if self.half_width < 0:
             raise ValueError("half_width must be >= 0")
-        if self.kind != "uniform":
-            raise ValueError("only the uniform spread is implemented")
 
 
 @dataclass(frozen=True)
@@ -363,13 +360,12 @@ def _time_axis(grid, name: str) -> np.ndarray:
     return t
 
 
-def rabi_trace(spec: EnsembleSpec, rabi: float, t_grid, initial_w: float = -1.0):
+def rabi_trace(spec: EnsembleSpec, rabi: float, t_grid):
     """Ensemble-averaged inversion under continuous resonant drive.
 
-    Starting from ``w = initial_w`` (ground initialization by default, or
-    the excited-state analog), each member evolves under its detuning and
-    scaled Rabi amplitude; the closed-form inversion is averaged with the
-    quadrature weights.  Returns ``(times, mean_inversion)``.
+    Starting from the ground state ``w = -1``, each member evolves under
+    its detuning and scaled Rabi amplitude; the closed-form inversion is
+    averaged with the quadrature weights.  Returns ``(times, mean_inversion)``.
 
     Detuning dephasing makes the oscillation contrast decay, which also
     pulls a plain damped-sinusoid fit of short traces above the drive
@@ -383,8 +379,8 @@ def rabi_trace(spec: EnsembleSpec, rabi: float, t_grid, initial_w: float = -1.0)
     gen2 = om**2 + dw**2
     gen2 = np.where(gen2 == 0.0, 1.0, gen2)
     frac = wts * om**2 / gen2
-    # w(t) = w0 (1 - frac + frac cos(gen t)) member-wise
-    mean_w = initial_w * ((wts - frac).sum() + _trig_sum(t, np.sqrt(gen2), frac))
+    # w(t) = -(1 - frac + frac cos(gen t)) member-wise
+    mean_w = -((wts - frac).sum() + _trig_sum(t, np.sqrt(gen2), frac))
     return t, mean_w
 
 

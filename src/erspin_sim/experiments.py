@@ -28,14 +28,6 @@ from .config import ConfigError, parse_config_text
 
 PRESETS = (geometry.GROUND_CONFIG, geometry.EXCITED_CONFIG)
 
-#: Measured Rabi frequencies (Hz, not angular) anchored per preset.  The
-#: excited value is below the pure g-factor scaling of the ground one
-#: because of extra insertion loss in that resonator assembly.
-PRESET_RABI_HZ = {
-    geometry.GROUND_CONFIG: 14.9e6,
-    geometry.EXCITED_CONFIG: 6.2e6,
-}
-
 
 @dataclass(frozen=True)
 class Param:
@@ -63,12 +55,13 @@ class Param:
                 val = raw
         except ValueError as exc:
             raise ConfigError(key, f"cannot parse {raw!r} as {self.kind}: {exc}") from None
-        if self.kind == "float" and math.isnan(val):
-            raise ConfigError(key, "must be a number, not nan")
         if self.choices is not None and val not in self.choices:
             raise ConfigError(key, f"must be one of {self.choices}")
         if self.minimum is not None and val < self.minimum:
             raise ConfigError(key, f"must be >= {self.minimum}")
+        # nan, and an infinity where the default is finite
+        if self.kind == "float" and not (math.isfinite(val) or val == self.default):
+            raise ConfigError(key, f"must be a finite number, not {val}")
         return val
 
 
@@ -79,15 +72,15 @@ def _rate_params(default_pump_flip):
         "branch_same": Param(0.5),
         "pump_rate_flip": Param(default_pump_flip, minimum=0.0),
         "pump_rate_preserve": Param(0.0, minimum=0.0),
-        "temperature_k": Param(0.8),
-        "splitting_hz": Param(3.12e9, minimum=0.0),
+        "temperature_k": Param(0.8, minimum=1e-12),
+        "splitting_hz": Param(geometry.PRESET_SPLITTING_HZ, minimum=0.0),
         "burn_duration_s": Param(0.1, minimum=1e-12),
     }
 
 
 def _ensemble_params():
     return {
-        "rabi_frequency_hz": Param(lambda p: PRESET_RABI_HZ[p], minimum=1.0),
+        "rabi_frequency_hz": Param(lambda p: geometry.PRESET_RABI_HZ[p], minimum=1.0),
         "line_fwhm_hz": Param(9e6, minimum=1e-3),
         "line_kind": Param("lorentzian", kind="str", choices=spectra.LINE_KINDS),
         "amplitude_spread": Param(0.01, minimum=0.0),
@@ -159,6 +152,31 @@ def _check_rate_time(rp, t, time_key: str):
         )
 
 
+# The share of the grid period up to which a two-pulse trace on the detuning
+# grid follows a 64,001-node reference at the defaults: within 1.4e-5 for
+# ideal-pulse Ramsey and 3.1e-7 for a finite-pulse echo at t2 = inf, against
+# 1 and 0.19 over the full period, where the trace revives.
+GRID_PERIOD_SHARE = 0.8
+
+
+def _check_grid_period(params, harmonic: int):
+    """Reject a ``tau_max_s`` past ``GRID_PERIOD_SHARE`` of the period of the grid's ``harmonic``.
+
+    Grid quadrature puts the detunings on a uniform step delta, so a term
+    in ``harmonic`` times the detuning repeats every 1/(harmonic delta).
+    """
+    if params["quadrature"] != "grid" or params["n_samples"] == 1:
+        return
+    width = 2.0 * params["span_fwhm"] * params["line_fwhm_hz"]  # the grid spans +-span_fwhm line widths
+    steps = harmonic * width * params["tau_max_s"] / GRID_PERIOD_SHARE  # the grid steps the window needs
+    if not steps <= params["n_samples"] - 1:
+        period = (params["n_samples"] - 1) / (harmonic * width)
+        raise ValueError(
+            f"tau_max_s must be <= {GRID_PERIOD_SHARE} of the {period:.3g} s period at which the detuning grid's "
+            f"trace revives; n_samples >= {np.ceil(steps) + 1:.0f} resolves this window"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Builders.  Each returns measure() -> (summary dict, trace description).
 
@@ -196,6 +214,7 @@ def _build_rabi(params, seed):
 def _build_ramsey(params, seed):
     spec = _ensemble_from(params, seed)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
+    _check_grid_period(params, 1)
     taus = _grid(np.linspace, 0.0, params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
 
     def measure():
@@ -229,6 +248,8 @@ def _build_echo(params, seed):
             f"tau_min_s must be <= {-0.5 * math.log(ECHO_FLOOR):.3g} t2_s, or the echo starts below "
             f"{ECHO_FLOOR:.0e}, where the ensemble sums round"
         )
+    if not params["ideal_pulses"]:  # ideal pulses refocus every detuning, so nothing revives
+        _check_grid_period(params, 2)
     taus = _grid(np.linspace, params["tau_min_s"], params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
 
     def measure():
@@ -293,9 +314,9 @@ def _build_pumping_efficiency(params, seed):
     burn = params["burn_duration_s"]
     line = spectra.LineShape(params["line_kind"], params["line_fwhm_hz"])
     rm = spectra.ReadoutModel(baseline_absorption=params["baseline_absorption"], probe_width=params["probe_width_hz"])
-    # antihole_spectra convolves a +-6 probe-width kernel over a +-20 line-width grid
-    if not 6.0 * rm.probe_width <= 20.0 * line.fwhm:
-        raise ValueError("probe_width_hz must be <= (10/3) line_fwhm_hz")
+    # antihole_spectra convolves a +-6 probe-width kernel over its profile grid
+    if not 6.0 * rm.probe_width <= spectra.PROFILE_SPAN_FWHM * line.fwhm:
+        raise ValueError(f"probe_width_hz must be <= {spectra.PROFILE_SPAN_FWHM:g}/6 line_fwhm_hz")
     _check_rate_time(rp, burn, "burn_duration_s")  # rp_hole empties no state faster
 
     def measure():
@@ -440,10 +461,10 @@ EXPERIMENTS = {
     "resonator": (
         _build_resonator,
         {
-            "f0_hz": Param(3.12e9, minimum=1.0),
+            "f0_hz": Param(geometry.PRESET_SPLITTING_HZ, minimum=1.0),
             "fwhm_hz": Param(60e6, minimum=1.0),
             "insertion_loss_db": Param(5.0, minimum=0.0),
-            "conversion_t_per_sqrt_w": Param(resonator.calibrate_conversion(), minimum=0.0),
+            "conversion_t_per_sqrt_w": Param(resonator.calibrate_conversion(), minimum=1e-12),
             "span_hz": Param(600e6, minimum=1.0),
             "points": Param(1201, kind="int", minimum=32),
         },

@@ -59,7 +59,7 @@ class FitResult:
 # nonlinear parameters q, on rescaled coordinates (x in [0, 1], y of order
 # 1).  Each takes any number of trailing entries of q, which is how the seed
 # builds every candidate's columns in one call.  Rates enter signed, so that
-# an undamped trace sits inside the search; _canonical folds the signs.
+# an undamped trace sits inside the search, and are reported signed.
 
 
 def _exponentials(q, u):
@@ -246,11 +246,12 @@ def fit(trace, model: str) -> FitResult:
     x[0].  Phases and Lorentzian centers refer to x itself.
 
     Exponential models report time constants ``tau`` (and
-    ``tau_slow``/``tau_fast``, sorted) alongside the raw rates.  Constant
-    input is degenerate for every model; it yields a zero-amplitude result
-    rather than an error.  Raises :class:`FitError` for non-finite data,
-    too few points, x values that are all equal, an unknown model or a
-    search that did not converge.
+    ``tau_slow``/``tau_fast``, sorted) alongside the raw rates, which keep
+    their signs; a rate <= 0, a trace that does not decay, has tau = inf.
+    Constant input is degenerate for every model; it yields a
+    zero-amplitude result rather than an error.  Raises :class:`FitError`
+    for non-finite data, too few points, x values that are all equal, an
+    unknown model or a search that did not converge.
     """
     if model not in _MODELS:
         raise FitError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
@@ -301,20 +302,18 @@ def fit(trace, model: str) -> FitResult:
 
 
 def _canonical(model, p, sigma):
-    """Fold sign conventions: rates non-negative, biexponential sorted slow-first.
+    """Fold the symmetries: frequency and Lorentzian width non-negative, biexponential sorted slow-first.
 
-    ``sigma`` (uncertainties of ``p``) is reordered along with ``p``.
+    Rates keep their signs, since the bases take them signed: a negative
+    rate is a growing trace.  ``sigma`` (uncertainties of ``p``) is
+    reordered along with ``p``.
     """
     p = np.array(p, dtype=float)
-    if model == "single-exponential":
-        p[1] = abs(p[1])
-    elif model == "sinusoid-decay":
+    if model == "sinusoid-decay":
         if p[1] < 0:  # cos(-2 pi f u + phi) = cos(2 pi f u - phi)
             p[1], p[2] = -p[1], -p[2]
-        p[3] = abs(p[3])
         p[2] = float(np.remainder(p[2] + np.pi, 2.0 * np.pi) - np.pi)
     elif model == "biexponential":
-        p[1], p[3] = abs(p[1]), abs(p[3])
         if p[1] > p[3]:  # rate1 must be the slow component
             order = [2, 3, 0, 1, 4]
             p, sigma = p[order], sigma[order]

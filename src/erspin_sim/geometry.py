@@ -11,7 +11,9 @@ is ``sqrt(n^T (g g^T) n)``, the standard convention for a Kramers doublet.
 The full tensor of Er:YSO is not reproduced here; diagonal presets built
 from four effective scalars (10.5 and 1.6 for the ground state, 10 and
 0.95 for the optically excited state) cover the two field configurations
-used in practice, and arbitrary user tensors are accepted.
+used in practice, and arbitrary user tensors are accepted.  Those
+scalars, the 3.12 GHz splitting both presets target and their measured
+Rabi frequencies are stated here once; the other modules read them.
 """
 
 from __future__ import annotations
@@ -22,13 +24,8 @@ import numpy as np
 
 from .constants import BOHR_MAGNETON, HBAR, PLANCK
 
-CRYSTAL_AXES = ("D1", "D2", "b")
-
 GROUND_CONFIG = "ground-config"    # static field || D2, MW field || b
 EXCITED_CONFIG = "excited-config"  # static field || b, MW field || D2
-
-#: Ground-state splitting targeted by both presets, Hz.
-PRESET_SPLITTING_HZ = 3.12e9
 
 
 def _unit(v) -> np.ndarray:
@@ -47,7 +44,6 @@ class GTensor:
     """
 
     g: np.ndarray
-    frame: str = "D1,D2,b"
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -71,7 +67,6 @@ class FieldConfig:
     b_static_dir: np.ndarray
     b_static_mag: float
     b_mw_dir: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         for name in ("b_static_dir", "b_mw_dir"):
@@ -156,13 +151,23 @@ def implied_g(splitting_hz: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # Presets
 
-_D1 = np.array([1.0, 0.0, 0.0])
 _D2 = np.array([0.0, 1.0, 0.0])
 _B_AXIS = np.array([0.0, 0.0, 1.0])
 
 _PRESET_G = {
     GROUND_CONFIG: EffectiveGFactors(g_parallel=10.5, g_mw=1.6),
     EXCITED_CONFIG: EffectiveGFactors(g_parallel=10.0, g_mw=0.95),
+}
+
+#: Ground-state splitting targeted by both presets, Hz.
+PRESET_SPLITTING_HZ = 3.12e9
+
+#: Measured Rabi frequencies (Hz, not angular) anchored per preset.
+#: The excited value is below the pure g-factor scaling of the ground one
+#: because of extra insertion loss in that resonator assembly.
+PRESET_RABI_HZ = {
+    GROUND_CONFIG: 14.9e6,
+    EXCITED_CONFIG: 6.2e6,
 }
 
 
@@ -185,22 +190,21 @@ def preset_field_config(name: str) -> FieldConfig:
     gf = preset_g_factors(name)
     mag = field_for_splitting(gf.g_parallel, PRESET_SPLITTING_HZ)
     if name == GROUND_CONFIG:
-        return FieldConfig(b_static_dir=_D2, b_static_mag=mag, b_mw_dir=_B_AXIS, label=name)
-    return FieldConfig(b_static_dir=_B_AXIS, b_static_mag=mag, b_mw_dir=_D2, label=name)
+        return FieldConfig(b_static_dir=_D2, b_static_mag=mag, b_mw_dir=_B_AXIS)
+    return FieldConfig(b_static_dir=_B_AXIS, b_static_mag=mag, b_mw_dir=_D2)
 
 
-def preset_g_tensor(state: str = "ground", g_d1: float = 0.0) -> GTensor:
+def preset_g_tensor(state: str = "ground") -> GTensor:
     """Diagonal g-tensor preset for the ``"ground"`` or ``"excited"`` state.
 
-    Built from the four effective scalars:  diag(g_d1, 10.5, 1.6) for the
-    ground state and diag(g_d1, 0.95, 10.0) for the excited state, in the
-    (D1, D2, b) frame.  The D1 entry is not constrained by those scalars
-    and defaults to 0; pass ``g_d1`` to set it.
+    The state's configuration (ground-config or excited-config) puts its
+    parallel g-factor on the static-field axis and its MW g-factor on the
+    MW axis:  diag(0, 10.5, 1.6) for the ground state and
+    diag(0, 0.95, 10.0) for the excited state, in the (D1, D2, b) frame.
+    The D1 entry is not constrained by those scalars and is 0.
     """
-    if state == "ground":
-        diag = (g_d1, 10.5, 1.6)
-    elif state == "excited":
-        diag = (g_d1, 0.95, 10.0)
-    else:
+    if state not in ("ground", "excited"):
         raise ValueError(f"state must be 'ground' or 'excited', got {state!r}")
-    return GTensor(np.diag(diag))
+    name = GROUND_CONFIG if state == "ground" else EXCITED_CONFIG
+    gf, fc = preset_g_factors(name), preset_field_config(name)
+    return GTensor(np.diag(gf.g_parallel * fc.b_static_dir + gf.g_mw * fc.b_mw_dir))

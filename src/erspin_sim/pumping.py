@@ -15,8 +15,6 @@ Incoherent processes:
 * ground-state spin relaxation with polarization decay rate ``1/t1_spin``,
   split between up- and down-flips by detailed balance at the configured
   temperature and splitting,
-* optional symmetric excited-state spin relaxation (off by default since
-  no rate is established for it),
 * stimulated pumping at symmetric (absorption = stimulated emission)
   rates: ``pump_rate_flip`` drives the spin-flip transition
   g_up <-> e_low, accumulating population in g_low; ``pump_rate_preserve``
@@ -36,8 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import BOLTZMANN, PLANCK
-
-STATE_LABELS = ("g_low", "g_up", "e_low", "e_up")
+from .geometry import PRESET_SPLITTING_HZ
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,7 @@ class RateParams:
     pump_rate_flip: float = 0.0
     pump_rate_preserve: float = 0.0
     temperature: float = 0.8
-    splitting: float = 3.12e9
-    excited_spin_rate: float = 0.0  # 1/s, applied symmetrically both ways
+    splitting: float = PRESET_SPLITTING_HZ
 
     def __post_init__(self):
         if self.t1_opt <= 0 or self.t1_spin <= 0:
@@ -72,8 +68,6 @@ class RateParams:
             raise ValueError("temperature must be > 0 (use math.inf for the symmetric baseline)")
         if self.splitting < 0:
             raise ValueError("splitting must be >= 0")
-        if self.excited_spin_rate < 0:
-            raise ValueError("excited_spin_rate must be >= 0")
 
     def pumps_off(self) -> "RateParams":
         return replace(self, pump_rate_flip=0.0, pump_rate_preserve=0.0)
@@ -148,9 +142,6 @@ def rate_generator(rp: RateParams) -> np.ndarray:
     total = 1.0 / rp.t1_spin
     k[1, 0] += total * e / (1.0 + e)   # up-flip
     k[0, 1] += total / (1.0 + e)       # down-flip
-    # excited-state spin relaxation (symmetric, usually zero)
-    k[3, 2] += rp.excited_spin_rate
-    k[2, 3] += rp.excited_spin_rate
     # stimulated pumping, symmetric in both directions
     k[2, 1] += rp.pump_rate_flip
     k[1, 2] += rp.pump_rate_flip

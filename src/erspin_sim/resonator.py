@@ -18,6 +18,7 @@ import numpy as np
 
 from .bloch import AmplitudeSpread
 from .constants import BOHR_MAGNETON, HBAR
+from .geometry import GROUND_CONFIG, PRESET_RABI_HZ, PRESET_SPLITTING_HZ, preset_g_factors
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class ResonatorParams:
     """
 
     conversion: float
-    f0: float = 3.12e9
+    f0: float = PRESET_SPLITTING_HZ
     fwhm: float = 60e6
     insertion_loss_db: float = 5.0
 
@@ -64,10 +65,13 @@ class HeatingModel:
 
 @dataclass(frozen=True)
 class FieldHomogeneity:
-    """Peak-to-peak relative MW field variation over the probed volume."""
+    """Peak-to-peak relative MW field variation over the probed volume.
+
+    The probed 0.2 x 0.2 x 0.5 mm^3 sits within the resonator's
+    (0.5 mm)^3 homogeneous region.
+    """
 
     relative_variation: float = 0.02
-    volume: str = "0.2x0.2x0.5 mm^3 probed / (0.5 mm)^3 homogeneous"
 
     def __post_init__(self):
         if not 0.0 <= self.relative_variation < 1.0:
@@ -82,21 +86,15 @@ class HeatingReport:
     average_power: float
 
 
-def calibrate_conversion(
-    g_mw: float = 1.6,
-    rabi: float = 2.0 * math.pi * 14.9e6,
-    power: float = 100.0,
-) -> float:
-    """Field conversion (T/sqrt(W)) that yields ``rabi`` at ``power`` watts.
+def calibrate_conversion() -> float:
+    """Field conversion (T/sqrt(W)) anchored to the ground configuration.
 
-    Defaults anchor the chain to the ground configuration: 100 W peak
-    power on resonance driving at 2 pi x 14.9 MHz with g_mw = 1.6, i.e.
-    B1 of about 1.33 mT.
+    100 W peak power on resonance drives the ground-configuration Rabi
+    frequency (2 pi x 14.9 MHz with g_mw = 1.6), i.e. B1 of about 1.33 mT.
     """
-    if g_mw <= 0 or rabi <= 0 or power <= 0:
-        raise ValueError("g_mw, rabi and power must be > 0")
-    b1 = 2.0 * HBAR * rabi / (g_mw * BOHR_MAGNETON)
-    return b1 / math.sqrt(power)
+    rabi = 2.0 * math.pi * PRESET_RABI_HZ[GROUND_CONFIG]
+    b1 = 2.0 * HBAR * rabi / (preset_g_factors(GROUND_CONFIG).g_mw * BOHR_MAGNETON)
+    return b1 / math.sqrt(100.0)
 
 
 def s21(rp: ResonatorParams, f) -> np.ndarray | float:

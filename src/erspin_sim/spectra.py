@@ -15,6 +15,12 @@ import numpy as np
 
 LINE_KINDS = ("lorentzian", "gaussian")
 
+#: Half span of a hole/antihole profile, in line widths each side.
+PROFILE_SPAN_FWHM = 20.0
+
+#: Profile grid points per line width.
+PROFILE_POINTS_PER_FWHM = 100
+
 
 def _reprs(v: np.ndarray) -> list[str]:
     """``repr`` of each float in ``v``, called once per distinct magnitude.
@@ -83,22 +89,18 @@ class ReadoutModel:
     line in thermal equilibrium (about 4% for the 0.5 mm crystals).
     ``probe_width`` is the effective spectral resolution of the probe,
     below 1 MHz in practice; it lumps laser linewidth, power broadening
-    and spectral diffusion into one width.  The probe kernel shape is
-    selectable; the Gaussian default keeps the convolution from inflating
-    the 9 MHz line noticeably.
+    and spectral diffusion into one width.  The probe kernel is Gaussian,
+    which keeps the convolution from inflating the 9 MHz line noticeably.
     """
 
     baseline_absorption: float = 0.04
     probe_width: float = 0.5e6
-    probe_kind: str = "gaussian"
 
     def __post_init__(self):
         if not 0.0 < self.baseline_absorption < 1.0:
             raise ValueError("baseline_absorption must be within (0, 1)")
         if self.probe_width <= 0:
             raise ValueError("probe_width must be > 0")
-        if self.probe_kind not in LINE_KINDS:
-            raise ValueError(f"probe_kind must be one of {LINE_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -131,19 +133,8 @@ class SpectrumProfile:
             fh.write("frequency_hz,value\n")
             fh.write(csv_rows(self.freq_hz, self.alpha))
 
-    @classmethod
-    def from_csv(cls, path, od_max: float | None = None) -> "SpectrumProfile":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls(data[:, 0], data[:, 1], od_max=od_max)
 
-
-def antihole_spectra(
-    spin_line: LineShape,
-    polarizations,
-    rm: ReadoutModel,
-    span_fwhm: float = 20.0,
-    points_per_fwhm: int = 100,
-) -> list[SpectrumProfile]:
+def antihole_spectra(spin_line: LineShape, polarizations, rm: ReadoutModel) -> list[SpectrumProfile]:
     """Absorption profiles of the probed line, one per spin polarization.
 
     The excess absorption is ``polarization * baseline_absorption`` at the
@@ -154,19 +145,20 @@ def antihole_spectra(
     computed once, and every profile shares its grid.
 
     The grid is ``center + step * j`` for ``j = -k .. k``, with step
-    ``fwhm / points_per_fwhm`` and ``k`` the ``span_fwhm * fwhm`` half span
-    over the step, rounded, so it is exactly antisymmetric about a zero
-    center.  The step keeps
-    the width extraction error well below the 5% acceptance band at the
-    default.  Raises :class:`FloatingPointError` when the span overflows
-    float64.
+    ``fwhm / PROFILE_POINTS_PER_FWHM`` and ``k`` the
+    ``PROFILE_SPAN_FWHM * fwhm`` half span over the step, rounded, so it is
+    exactly antisymmetric about a zero center.  The step keeps the width
+    extraction error well below the 5% acceptance band.  Raises
+    :class:`FloatingPointError` when the span overflows float64.
     """
     if any(abs(p) > 1.0 + 1e-12 for p in polarizations):
         raise ValueError("polarization must be within [-1, 1]")
-    step = spin_line.fwhm / points_per_fwhm
-    half = span_fwhm * spin_line.fwhm
+    step = spin_line.fwhm / PROFILE_POINTS_PER_FWHM
+    half = PROFILE_SPAN_FWHM * spin_line.fwhm
     if not math.isfinite(half):
-        raise FloatingPointError(f"overflow: a {span_fwhm} fwhm span of a {spin_line.fwhm} Hz line is not finite")
+        raise FloatingPointError(
+            f"overflow: a {PROFILE_SPAN_FWHM} fwhm span of a {spin_line.fwhm} Hz line is not finite"
+        )
     k = round(half / step)
     f = spin_line.center + step * np.arange(-k, k + 1)
 
@@ -175,7 +167,7 @@ def antihole_spectra(
     kern_half = 6.0 * rm.probe_width
     m = max(int(round(kern_half / step)), 1)
     fk = np.arange(-m, m + 1) * step
-    kernel = np.asarray(line_value(LineShape(rm.probe_kind, rm.probe_width), fk))
+    kernel = np.asarray(line_value(LineShape("gaussian", rm.probe_width), fk))
     kernel = kernel / kernel.sum()
     shape = np.convolve(shape, kernel, mode="same")
     shape = shape / shape.max()
@@ -186,15 +178,9 @@ def antihole_spectra(
     ]
 
 
-def antihole_spectrum(
-    spin_line: LineShape,
-    polarization: float,
-    rm: ReadoutModel,
-    span_fwhm: float = 20.0,
-    points_per_fwhm: int = 100,
-) -> SpectrumProfile:
+def antihole_spectrum(spin_line: LineShape, polarization: float, rm: ReadoutModel) -> SpectrumProfile:
     """The one profile :func:`antihole_spectra` gives for ``polarization``."""
-    return antihole_spectra(spin_line, (polarization,), rm, span_fwhm, points_per_fwhm)[0]
+    return antihole_spectra(spin_line, (polarization,), rm)[0]
 
 
 def profile_excess(profile: SpectrumProfile) -> np.ndarray:

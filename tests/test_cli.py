@@ -65,8 +65,11 @@ class TestExitCodes:
         "experiment, key", [("echo", "t2_s"), ("ramsey", "t2_s"), ("rabi", "line_fwhm_hz")]
     )
     def test_nan_float_is_config_error(self, tmp_path, capsys, experiment, key):
-        assert cli.main([experiment, "--set", f"{key}=nan", "--out", str(tmp_path)]) == 2
-        assert key in capsys.readouterr().err
+        # and an infinity where the default is finite; ramsey's t2_s defaults to inf and takes it
+        for value in ("nan", "-inf") if experiment == "ramsey" else ("nan", "inf", "-inf"):
+            assert cli.main([experiment, "--set", f"{key}={value}", "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and key in err
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -106,12 +109,20 @@ class TestExitCodes:
             # q t past the range in which the rate propagator keeps its accuracy
             (["pumping-efficiency", "--set", "pump_rate_flip=1e12"], "pump_rate_flip"),
             (["holeburn", "--set", "wait_max_s=1e5"], "wait_max_s"),
+            (["resonator", "--set", "conversion_t_per_sqrt_w=0"], "conversion_t_per_sqrt_w"),
+            (["holeburn", "--set", "temperature_k=0"], "temperature_k"),
+            # windows past 0.8 of the period at which the detuning grid's trace revives
+            (["ramsey", "--set", "tau_max_s=6e-6", "--set", "ideal_pulses=true"], "tau_max_s"),
+            (["ramsey", "--set", "tau_max_s=4.25e-06", "--set", "line_fwhm_hz=1.2e+07", "--set", "n_samples=501",
+              "--set", "tau_points=101", "--set", "preset=excited-config"], "tau_max_s"),
+            (["echo", "--set", "tau_max_s=2.5e-6"], "tau_max_s"),
         ],
         ids=[
             "wait-order", "wait-overflow", "wait-overflow-one-line", "tau-order", "echo-zero-span",
             "echo-rounding-floor", "holeburn-zero-span", "span", "probe-kernel", "size", "memory",
             "rabi-infinite-end", "rabi-aliased", "rabi-aliased-far", "ramsey-infinite-end", "echo-infinite-end",
-            "no-drive", "no-pump", "burn-rate-time", "wait-rate-time",
+            "no-drive", "no-pump", "burn-rate-time", "wait-rate-time", "no-conversion", "zero-temperature",
+            "ramsey-grid-period", "ramsey-grid-period-coarse", "echo-grid-period",
         ],
     )
     def test_build_rejects_inputs_its_grids_cannot_take(self, tmp_path, capsys, argv, key):
@@ -129,16 +140,20 @@ class TestExitCodes:
             (["pumping-efficiency", "--set", "pump_rate_flip=0"], None, "area_ratio_same_burn_populations"),
             # the response underflows to zero, so the fitted peak has no loss in dB
             (["resonator", "--set", "insertion_loss_db=1.49e7"], None, "insertion_loss_db"),
-            (["echo", "--set", "line_fwhm_hz=1e300"], None, "overflow"),
+            # ideal pulses, as a finite-pulse echo on this line resolves no window
+            (["echo", "--set", "line_fwhm_hz=1e300", "--set", "ideal_pulses=true"], None, "overflow"),
             # f0_hz +- span_hz / 2 rounds to f0_hz: the sweep has one frequency
             (["resonator", "--set", "f0_hz=1e300"], None, "all equal"),
-            (["pumping-efficiency", "--set", "line_fwhm_hz=inf"], None, "overflow"),
+            (["pumping-efficiency", "--set", "line_fwhm_hz=1e308"], None, "overflow"),
             # the excess absorption underflows, so the profile is flat and has no width
             (["pumping-efficiency", "--set", "baseline_absorption=5e-324"], None, "antihole_fwhm_hz"),
+            # the least-squares exponential grows, so the trace has no decay time
+            (["echo", "--set", "n_samples=501", "--set", "tau_points=51", "--set", "line_fwhm_hz=3e6",
+              "--set", "tau_max_s=4.27e-07", "--set", "t2_s=2.9e-05"], None, "t2_fit_s"),
         ],
         ids=[
             "quadrature", "optimizer", "non-finite-summary", "zero-peak-power", "line-overflow", "one-frequency",
-            "profile-span-overflow", "profile-underflow",
+            "profile-span-overflow", "profile-underflow", "growing-fit",
         ],
     )
     def test_numerical_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys, argv, stall, message):
@@ -174,11 +189,13 @@ def fuzzed_sets(draw, experiment):
     return [arg for key, value in values.items() for arg in ("--set", f"{key}={value!r}")]
 
 
-# 11 ensemble members; rabi's 64 points resolve its default 15 drive periods
+# Small grids that still resolve the default windows: rabi's 64 points its 15
+# drive periods, ramsey's 101 and echo's 1501 detunings 0.8 of the period at
+# which their traces revive
 SMALL_GRIDS = {
     "rabi": ("n_samples=11", "trace_points=64"),
-    "ramsey": ("n_samples=11", "tau_points=16"),
-    "echo": ("n_samples=11", "tau_points=16"),
+    "ramsey": ("n_samples=101", "tau_points=16"),
+    "echo": ("n_samples=1501", "tau_points=16"),
 }
 
 
@@ -297,7 +314,7 @@ class TestArtifacts:
         fast_overrides = {
             "rabi": ["--set", "trace_points=128", "--set", "n_samples=301"],
             "ramsey": ["--set", "tau_points=32", "--set", "n_samples=301"],
-            "echo": ["--set", "tau_points=32", "--set", "n_samples=301"],
+            "echo": ["--set", "tau_points=32", "--set", "n_samples=1501"],
             "holeburn": ["--set", "wait_points=24"],
         }
         for name in EXPERIMENT_NAMES:

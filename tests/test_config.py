@@ -18,14 +18,17 @@ n_samples = 501
 
 
 def value_of(param):
-    """Values ``param`` accepts: a choice, a bool, or a number at or above its minimum."""
+    """Values ``param`` accepts: a choice, a bool, or a number at or above its minimum.
+
+    A number is infinite only where the default is.
+    """
     if param.choices is not None:
         return st.sampled_from(param.choices)
     if param.kind == "bool":
         return st.booleans()
     if param.kind == "int":
         return st.integers(min_value=None if param.minimum is None else math.ceil(param.minimum))
-    return st.floats(min_value=param.minimum, allow_nan=False)
+    return st.floats(min_value=param.minimum, allow_nan=False, allow_infinity=param.default == math.inf)
 
 
 def schema_values(experiment):

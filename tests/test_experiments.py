@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -158,3 +159,14 @@ def test_run_checks_a_config_changed_after_build_config(tmp_path):
     with pytest.raises(ConfigError, match="tau_min_s"):
         experiments.run(cfg)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("experiment", ["ramsey", "echo"])
+def test_grid_period_check_names_the_n_samples_that_resolve_the_window(experiment):
+    sets = {"tau_max_s": "6e-6"}
+    with pytest.raises(ConfigError, match="tau_max_s") as exc:
+        experiments.build_config(experiment, set_overrides=sets)
+    need = int(re.search(r"n_samples >= (\d+)", str(exc.value)).group(1))
+    experiments.build_config(experiment, set_overrides={**sets, "n_samples": str(need)})
+    with pytest.raises(ConfigError, match="tau_max_s"):
+        experiments.build_config(experiment, set_overrides={**sets, "n_samples": str(need - 1)})

@@ -46,6 +46,12 @@ class TestSinusoidDecay:
         assert res.parameters["frequency"] == pytest.approx(8e6, rel=1e-8)
         assert res.parameters["decay_rate"] == pytest.approx(5e6, rel=1e-6)
 
+    def test_growing_sinusoid_keeps_the_sign_of_its_rate(self):
+        t = np.linspace(0.0, 4e-7, 401)
+        y = 0.9 * np.cos(2.0 * math.pi * 8e6 * t - 1.1) * np.exp(t / 2e-7) + 0.05
+        res = fitting.fit((t, y), "sinusoid-decay")
+        assert res.parameters["decay_rate"] == pytest.approx(-5e6, rel=1e-6)
+
 
 class TestExponentials:
     def test_single_exponential_recovery(self):
@@ -63,6 +69,14 @@ class TestExponentials:
         assert res.parameters["tau_slow"] == pytest.approx(53e-3, rel=1e-6)
         assert res.parameters["tau_fast"] == pytest.approx(11e-3, rel=1e-6)
         assert res.parameters["tau_slow"] >= res.parameters["tau_fast"]
+
+    def test_growing_exponential_keeps_the_sign_of_its_rate(self):
+        x = np.linspace(0.0, 1.0, 50)
+        y = 2.0 * np.exp(2.0 * x) + 1.0
+        p = fitting.fit((x, y), "single-exponential").parameters
+        assert p["amplitude"] * np.exp(-p["rate"] * x) + p["offset"] == pytest.approx(y, rel=1e-9)
+        assert p["rate"] == pytest.approx(-2.0, rel=1e-9)
+        assert p["tau"] == math.inf  # no decay
 
     def test_rate_too_small_to_square(self):
         t = np.linspace(0.0, 1e200, 50)

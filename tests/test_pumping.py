@@ -147,7 +147,9 @@ EPS = np.finfo(float).eps
 def propagations(draw):
     """Rate parameters, their generator K and a time t, with q t log-uniform on [1e-3, MAX_RATE_TIME].
 
-    ``q = max_i -K_ii``; pump rates reach 1e5 /s.
+    ``q = max_i -K_ii``; pump rates reach 1e5 /s.  K may also carry a
+    symmetric e_low <-> e_up rate, which the model leaves out, so that
+    ``expm`` meets generators with that pair of entries too.
     """
     rate = st.one_of(st.just(0.0), st.floats(1.0, 1e5))
     rp = pumping.RateParams(
@@ -158,9 +160,11 @@ def propagations(draw):
         pump_rate_preserve=draw(rate),
         temperature=draw(st.one_of(st.just(math.inf), st.floats(0.1, 5.0))),
         splitting=draw(st.floats(0.0, 1e10)),
-        excited_spin_rate=draw(st.one_of(st.just(0.0), st.floats(1.0, 1e3))),
     )
     k = pumping.rate_generator(rp)
+    k[3, 2] = k[2, 3] = draw(st.one_of(st.just(0.0), st.floats(1.0, 1e3)))
+    np.fill_diagonal(k, 0.0)
+    np.fill_diagonal(k, -k.sum(axis=0))
     qt = 10.0 ** draw(st.floats(-3.0, math.log10(pumping.MAX_RATE_TIME)))
     return rp, k, qt / -k.diagonal().min()
 
