@@ -1,11 +1,11 @@
 """Deterministic simulator of an optically interfaced erbium spin ensemble.
 
-Subpackages by concern:
+Modules by concern:
 
 * :mod:`erspin_sim.geometry`   effective g-factors, Zeeman splittings, Rabi frequencies
 * :mod:`erspin_sim.pumping`    four-level rate equations for optical spin initialization
 * :mod:`erspin_sim.spectra`    line shapes, hole/antihole profiles, transmission readout
-* :mod:`erspin_sim.bloch`      coherent pulse dynamics on single spins and ensembles
+* :mod:`erspin_sim.bloch`      single-pulse rotations and ensemble Rabi, Ramsey and echo traces
 * :mod:`erspin_sim.resonator`  microwave chain: transmission, field conversion, heating
 * :mod:`erspin_sim.fitting`    deterministic least-squares trace fitting
 * :mod:`erspin_sim.experiments` named end-to-end protocols behind the CLI
@@ -16,17 +16,14 @@ from .bloch import (
     AmplitudeSpread,
     BlochVector,
     ConvergenceError,
-    Delay,
     EnsembleSpec,
     Pulse,
-    Sequence,
     echo_trace,
     pi_fidelity_avg,
     pi_fidelity_center,
     propagate,
     rabi_trace,
     ramsey_trace,
-    run_sequence,
 )
 from .config import ConfigError
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, build_config, run

@@ -10,10 +10,12 @@ about the axis
 by the angle ``sqrt(Omega^2 + (2 pi Delta)^2) * duration``.  Pulses are
 propagated by this exact rotation rather than by ODE stepping; relaxation
 during pulses is neglected since pulse durations (tens of ns) are five
-orders of magnitude below all lifetimes.  Each member's pulse rotations are
-built once, as a (3, 3, members) stack with the members last; a delay is a
-z-rotation by ``2 pi Delta tau``, so Ramsey and echo signals are evaluated
-in closed form in tau, as trig sums over members, like the Rabi trace in t.
+orders of magnitude below all lifetimes.  :func:`propagate` applies one
+pulse to one spin.  The three protocols, Rabi, Ramsey and echo, are
+ensemble kernels: each member's pulse rotations are built once, as a
+(3, 3, members) stack with the members last; a delay is a z-rotation by
+``2 pi Delta tau``, so Ramsey and echo signals are evaluated in closed form
+in tau, as trig sums over members, like the Rabi trace in t.
 A trig sum merges members of equal frequency (Rabi's generalized frequencies
 are even in the detuning; the two-pulse harmonics do not depend on the
 amplitude node) and splits a uniform time grid of N points into about
@@ -73,55 +75,17 @@ GROUND = BlochVector(0.0, 0.0, -1.0)
 
 @dataclass(frozen=True)
 class Pulse:
-    """Rectangular drive pulse.
-
-    ``rabi`` in rad/s, ``duration`` in s, ``phase`` in rad,
-    ``detuning_offset`` in Hz (added to any ensemble detuning).
-    """
+    """Rectangular drive pulse: ``rabi`` in rad/s, ``duration`` in s, ``phase`` in rad."""
 
     rabi: float
     duration: float
     phase: float = 0.0
-    detuning_offset: float = 0.0
 
     def __post_init__(self):
         if self.rabi < 0:
             raise ValueError("rabi must be >= 0")
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Free evolution interval in seconds."""
-
-    duration: float
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
-
-
-@dataclass(frozen=True)
-class Sequence:
-    """Ordered pulses and delays, with optional dephasing during delays.
-
-    ``t2`` (seconds) damps the transverse components during delays only;
-    it is the phenomenological coherence time, not a bath model.  Element
-    dispatch is by type, so further element kinds (shaped pulses) can be
-    added without changing consumers.
-    """
-
-    elements: tuple
-    t2: float | None = None
-
-    def __post_init__(self):
-        for el in self.elements:
-            if not isinstance(el, (Pulse, Delay)):
-                raise ValueError(f"unsupported sequence element {el!r}")
-        if self.t2 is not None and not self.t2 > 0:
-            raise ValueError("t2 must be > 0")
-        object.__setattr__(self, "elements", tuple(self.elements))
 
 
 @dataclass(frozen=True)
@@ -318,33 +282,10 @@ def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
 def propagate(b: BlochVector, p: Pulse, detuning: float = 0.0) -> BlochVector:
     """Exact rotation of ``b`` under pulse ``p`` at ``detuning`` Hz.
 
-    Total detuning is ``detuning + p.detuning_offset``.  Composition is
-    exact: two half-duration pulses reproduce the full pulse to rounding.
+    Composition is exact: two half-duration pulses reproduce the full pulse
+    to rounding.
     """
-    dw = 2.0 * np.pi * (detuning + p.detuning_offset)
-    return BlochVector(*(_pulse_matrix(p.rabi, dw, p.duration, p.phase) @ b.as_array()))
-
-
-def run_sequence(b: BlochVector, seq: Sequence, detuning: float = 0.0) -> BlochVector:
-    """Propagate a single Bloch vector through a pulse/delay sequence.
-
-    A delay is free precession about z; a finite ``seq.t2`` damps the
-    transverse components over it.
-    """
-    vec = b.as_array()
-    for el in seq.elements:
-        if isinstance(el, Pulse):
-            dw = 2.0 * np.pi * (detuning + el.detuning_offset)
-            m = _pulse_matrix(el.rabi, dw, el.duration, el.phase)
-        else:
-            m = _rotation(0.0, 0.0, 1.0, 2.0 * np.pi * detuning * el.duration)
-            if seq.t2 is not None:
-                m[:2] *= math.exp(-el.duration / seq.t2)
-        vec = m @ vec
-    n = np.linalg.norm(vec)
-    if n > 1.0:  # shave rounding overshoot so the result stays a valid state
-        vec = vec / n
-    return BlochVector(*vec)
+    return BlochVector(*(_pulse_matrix(p.rabi, 2.0 * np.pi * detuning, p.duration, p.phase) @ b.as_array()))
 
 
 # ---------------------------------------------------------------------------

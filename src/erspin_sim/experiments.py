@@ -350,6 +350,14 @@ def _build_pumping_efficiency(params, seed):
     return measure
 
 
+# The largest residual norm, as a share of the norm of the centered data, that
+# a resonator fit may leave.  The model is exact: on 550 random sweeps the
+# fits that hit the set width left at most 3.6e-14, and those of a sweep
+# narrower than about sqrt(2) line widths, which end 78-82% off in width,
+# left 0.82 or more (CHANGES.md).
+RESONATOR_RESIDUAL_GATE = 1e-6
+
+
 def _build_resonator(params, seed):
     rp = resonator.ResonatorParams(
         conversion=params["conversion_t_per_sqrt_w"],
@@ -365,7 +373,14 @@ def _build_resonator(params, seed):
     def measure():
         db = np.asarray(resonator.s21(rp, f))
         # fit in linear power units where the response is a true Lorentzian
-        res = fitting.fit((f, 10.0 ** (db / 10.0)), "lorentzian")
+        power = 10.0 ** (db / 10.0)
+        res = fitting.fit((f, power), "lorentzian")
+        spread = np.linalg.norm(power - power.mean())
+        if not res.residual_norm <= RESONATOR_RESIDUAL_GATE * spread:
+            raise fitting.FitError(
+                f"lorentzian fit leaves a residual norm of {res.residual_norm:.3g} on data of spread {spread:.3g}, "
+                f"above the {RESONATOR_RESIDUAL_GATE:.0e} of it that an exact fit stays within"
+            )
         peak_power = res.parameters["amplitude"] + res.parameters["offset"]
         summary = {
             "f0_set_hz": rp.f0,
@@ -511,7 +526,8 @@ def build_config(
 
     Raises :class:`ConfigError` naming the offending key for unknown keys,
     unparsable values, range violations, a mismatched ``experiment`` line,
-    a missing seed with Monte Carlo quadrature or an input the build rejects.
+    a negative seed, a missing seed with Monte Carlo quadrature or an input
+    the build rejects.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}")
@@ -526,8 +542,10 @@ def build_config(
     if file_experiment != experiment:
         raise ConfigError("experiment", f"config is for {file_experiment!r}, not {experiment!r}")
     if "seed" in raw:
-        file_seed = Param(None, kind="int").parse("seed", raw.pop("seed"))
+        file_seed = Param(None, kind="int", minimum=0).parse("seed", raw.pop("seed"))
         seed = seed if seed is not None else file_seed
+    if seed is not None and seed < 0:  # numpy seeds its generators with non-negative integers only
+        raise ConfigError("seed", f"must be >= 0, not {seed}")
     if "output_dir" in raw:
         output_dir = raw.pop("output_dir")
 

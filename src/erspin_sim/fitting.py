@@ -224,22 +224,19 @@ def _levenberg_marquardt(residual, q, model):
 
 
 def _as_xy(trace):
-    arr = np.asarray(trace, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return arr[:, 0].copy(), arr[:, 1].copy()
     if isinstance(trace, tuple) and len(trace) == 2:
         x = np.asarray(trace[0], dtype=float)
         y = np.asarray(trace[1], dtype=float)
         if x.shape == y.shape and x.ndim == 1:
             return x.copy(), y.copy()
-    raise FitError("trace must be (x, y) arrays or a sequence of (x, y) pairs")
+    raise FitError("trace must be a tuple (x, y) of equal-length 1-d arrays")
 
 
 def fit(trace, model: str) -> FitResult:
     """Least-squares fit of ``trace`` with the named model.
 
-    ``trace`` is a pair of equal-length arrays or a sequence of (x, y)
-    pairs with at least twice as many points as model parameters.
+    ``trace`` is a tuple ``(x, y)`` of equal-length arrays with at least
+    twice as many points as model parameters.
 
     Decays run from the first sample x[0], not from x = 0: the amplitudes
     of the exponential and sinusoid-decay models are their decaying parts at

@@ -105,15 +105,10 @@ class ReadoutModel:
 
 @dataclass(frozen=True)
 class SpectrumProfile:
-    """Absorption versus frequency on a strictly increasing grid.
-
-    ``od_max``, when given, bounds stimulated-emission gain: alpha may not
-    drop below ``-od_max``.
-    """
+    """Absorption versus frequency on a strictly increasing grid."""
 
     freq_hz: np.ndarray
     alpha: np.ndarray
-    od_max: float | None = None
 
     def __post_init__(self):
         f = np.asarray(self.freq_hz, dtype=float)
@@ -122,8 +117,6 @@ class SpectrumProfile:
             raise ValueError("freq_hz and alpha must be 1-d arrays of equal length")
         if f.size < 2 or np.any(np.diff(f) <= 0):
             raise ValueError("freq_hz must be strictly increasing")
-        if self.od_max is not None and a.min() < -self.od_max - 1e-12:
-            raise ValueError("alpha must not drop below -od_max")
         object.__setattr__(self, "freq_hz", f)
         object.__setattr__(self, "alpha", a)
 
@@ -172,10 +165,7 @@ def antihole_spectra(spin_line: LineShape, polarizations, rm: ReadoutModel) -> l
     shape = np.convolve(shape, kernel, mode="same")
     shape = shape / shape.max()
 
-    return [
-        SpectrumProfile(f, rm.baseline_absorption * (1.0 + p * shape), od_max=rm.baseline_absorption)
-        for p in polarizations
-    ]
+    return [SpectrumProfile(f, rm.baseline_absorption * (1.0 + p * shape)) for p in polarizations]
 
 
 def antihole_spectrum(spin_line: LineShape, polarization: float, rm: ReadoutModel) -> SpectrumProfile:

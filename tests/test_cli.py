@@ -6,6 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,22 @@ class TestExitCodes:
             assert cli.main([experiment, "--set", f"{key}={value}", "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("seed", [-1, -(2**63)])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, seed, source):
+        argv = ["rabi", "--set", "quadrature=monte-carlo", "--set", "n_samples=11"]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"schema_version = 1\nseed = {seed}\n")
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -150,10 +167,12 @@ class TestExitCodes:
             # the least-squares exponential grows, so the trace has no decay time
             (["echo", "--set", "n_samples=501", "--set", "tau_points=51", "--set", "line_fwhm_hz=3e6",
               "--set", "tau_max_s=4.27e-07", "--set", "t2_s=2.9e-05"], None, "t2_fit_s"),
+            # a sweep of 1.33 line widths: the fit ends 79% off in width, far from the exact model
+            (["resonator", "--set", "span_hz=80e6"], None, "residual norm"),
         ],
         ids=[
             "quadrature", "optimizer", "non-finite-summary", "zero-peak-power", "line-overflow", "one-frequency",
-            "profile-span-overflow", "profile-underflow", "growing-fit",
+            "profile-span-overflow", "profile-underflow", "growing-fit", "narrow-sweep",
         ],
     )
     def test_numerical_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys, argv, stall, message):
@@ -252,6 +271,60 @@ class TestColdStart:
 
     def test_fitting_runs_never_load_scipy(self):
         assert cold_start(["rabi"], ["holeburn"], ["resonator"]) == "[0, 0, 0] []"
+
+
+DEFAULT_RUNS = """
+import sys
+from erspin_sim import cli
+
+for experiment in cli.EXPERIMENT_NAMES:
+    assert cli.main([experiment, "--out", sys.argv[1]]) == 0
+"""
+
+# Bounds between OpenBLAS thread counts: ten times the largest differences
+# measured on a 2-vCPU x86-64 host (README): absolute in a trace value,
+# relative in a fitted value and in a fitted sigma.
+TRACE_BOUND, VALUE_BOUND, SIGMA_BOUND = 2.2e-15, 7e-9, 5.5e-8
+
+
+def default_runs(out, threads):
+    """The seven default runs, written to ``out`` by a fresh interpreter with ``threads`` BLAS threads."""
+    src = str(Path(erspin_sim.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", DEFAULT_RUNS, str(out)], env=env, timeout=300, check=True)
+    return {path.name: path.read_text() for path in sorted(out.iterdir())}
+
+
+def openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 prints its configuration only
+        return False
+    return "openblas" in blas["name"].lower()
+
+
+@pytest.mark.skipif(not openblas(), reason="the thread count is an OpenBLAS setting")
+class TestThreadCounts:
+    def test_default_runs_agree_across_thread_counts(self, tmp_path):
+        one, two, again = (default_runs(tmp_path / name, n) for name, n in (("one", 1), ("two", 2), ("again", 1)))
+        assert one == again  # one thread count, identical bytes
+        assert one.keys() == two.keys() and len(one) == 2 * len(EXPERIMENT_NAMES)
+        for name, text in one.items():
+            rows, other = text.splitlines(), two[name].splitlines()
+            assert len(rows) == len(other), name
+            if name.endswith("_trace.csv"):  # metadata lines and the column header, then x,y rows
+                head = next(i for i, row in enumerate(rows) if not row.startswith("#")) + 1
+                assert rows[:head] == other[:head], name
+                a, b = (np.array([row.split(",") for row in r[head:]], dtype=float) for r in (rows, other))
+                assert np.max(np.abs(a - b)) <= TRACE_BOUND, name
+                continue
+            for row, alt in zip(rows, other):
+                key, a = (part.strip() for part in row.split("=", 1))
+                b = alt.split("=", 1)[1].strip()
+                if a != b:
+                    bound = SIGMA_BOUND if "sigma" in key else VALUE_BOUND
+                    assert abs(float(a) - float(b)) <= bound * max(abs(float(a)), abs(float(b))), (name, key, a, b)
 
 
 class TestArtifacts:

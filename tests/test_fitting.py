@@ -137,13 +137,6 @@ class TestFitBehavior:
             outputs.add(done.stdout)
         assert len(outputs) == 1, outputs
 
-    def test_accepts_row_pairs(self):
-        t = np.linspace(0.0, 0.3, 60)
-        y = np.exp(-t / 0.1)
-        rows = np.stack([t, y], axis=1)
-        res = fitting.fit(rows, "single-exponential")
-        assert res.parameters["tau"] == pytest.approx(0.1, rel=1e-7)
-
     def test_errors(self, monkeypatch):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(fitting.FitError):

@@ -183,9 +183,7 @@ class TestExcitedReadoutContrast:
 
 class TestTransmission:
     def test_values(self):
-        prof = spectra.SpectrumProfile(
-            np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.04, -0.02]), od_max=0.04
-        )
+        prof = spectra.SpectrumProfile(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.04, -0.02]))
         t = spectra.transmission(prof)
         assert t[0] == 1.0
         assert t[1] == pytest.approx(math.exp(-0.04), rel=1e-15)
@@ -203,10 +201,6 @@ class TestSpectrumProfile:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             spectra.SpectrumProfile(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-
-    def test_gain_bound(self):
-        with pytest.raises(ValueError):
-            spectra.SpectrumProfile(np.array([0.0, 1.0]), np.array([-0.1, 0.0]), od_max=0.04)
 
     def test_csv_roundtrip(self, tmp_path):
         rm = spectra.ReadoutModel()
