@@ -12,17 +12,20 @@ propagated by this exact rotation rather than by ODE stepping; relaxation
 during pulses is neglected since pulse durations (tens of ns) are five
 orders of magnitude below all lifetimes.  :func:`propagate` applies one
 pulse to one spin.  The three protocols, Rabi, Ramsey and echo, are
-ensemble kernels: each member's pulse rotations are built once, as a
-(3, 3, members) stack with the members last; a delay is a z-rotation by
-``2 pi Delta tau``, so Ramsey and echo signals are evaluated in closed form
-in tau, as trig sums over members, like the Rabi trace in t.
+ensemble kernels: each member's pulse rotations are built once, as
+(3, 3, members) stacks with the members last, one block of members at a
+time; a delay is a z-rotation by ``2 pi Delta tau``, so Ramsey and echo
+signals are evaluated in closed form in tau, as trig sums over members, like
+the Rabi trace in t.
 A trig sum merges members of equal frequency (Rabi's generalized frequencies
 are even in the detuning; the two-pulse harmonics do not depend on the
 amplitude node) and splits a uniform time grid of N points into about
 sqrt(N) blocks whose tables are complex powers of one step, so it needs 3
 trig values per frequency, and products about 2 log2(sqrt(N)) roundings
 deep, instead of N trig values; a grid that is not uniform is summed
-directly.
+directly.  The tables are built one block of frequencies at a time.  Member
+and frequency blocks stay within ``_TABLE_ELEMENTS``, so the tables a kernel
+holds at once do not grow with the ensemble or the time grid.
 
 Ensembles carry a detuning distribution (the inhomogeneous spin line) and
 a relative Rabi-amplitude distribution (drive-field inhomogeneity).  Grid
@@ -222,22 +225,28 @@ def _pulse_matrix(omega, dw, duration, phase=0.0) -> np.ndarray:
     return _rotation(kx, ky, dw / safe, gen * duration)
 
 
-#: Largest trig table, in elements, that ``_trig_sum`` builds at once.
-_TABLE_ELEMENTS = 2e6
+#: Largest table, in elements, that an ensemble kernel builds at once: the
+#: trig tables of ``_trig_sum``, and the (3, 3, members) pulse stacks of
+#: ``_two_pulse_signal``, whose member blocks are a ninth of it.  A trig table
+#: (256 KiB) stays in cache, and a stack (32 bytes short of 128 KiB) below
+#: glibc's default mmap threshold, so blocks reuse warm heap memory instead of
+#: faulting fresh pages.
+_TABLE_ELEMENTS = 2**14
 
 
 def _powers(first: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """(n, M) table ``first * z**k``, k < n, by doubling.
+    """(n, M) table ``first * z**k``, k < n, by doubling, written in place.
 
     ``out[m:2m] = out[:m] * z**m`` with ``z**m`` from repeated squaring, so
     no entry is more than about 2 log2(n) products away from a trig value.
     """
     out = np.empty((n,) + first.shape, complex)
     out[0] = first
-    m, zm = 1, z
+    m = 1
     while m < n:
-        out[m : 2 * m] = out[: min(m, n - m)] * zm
-        m, zm = 2 * m, zm * zm
+        k = min(m, n - m)
+        np.multiply(out[:k], z, out=out[m : m + k])
+        m, z = 2 * m, z * z
     return out
 
 
@@ -246,17 +255,16 @@ def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Members whose frequencies are bitwise equal are merged first, their
     coefficients summed, so no symmetry of the ensemble is assumed.  A grid
-    within a few ulps of ``t[0] + k dt`` is then split into blocks of B
-    points, ``t[J B + j] = a_J + j dt``, and the sum is ``L @ R.T`` with
-    ``R[j] = c z**j``, ``z = exp(i f dt)``, and ``L[J] = exp(i f a_J0)
-    w**(J - J0)``, ``w = exp(i f B dt)``, both tables built by
-    :func:`_powers`.  A frequency thus costs 3 trig values, and products
+    within a few ulps of ``t[0] + k dt`` is then split into blocks of
+    B = round(sqrt(N)) points, ``t[J B + j] = a_J + j dt``, and the sum is
+    ``L @ R.T`` with ``R[j] = c z**j``, ``z = exp(i f dt)``, and
+    ``L[J] = exp(i f t[0]) w**J``, ``w = exp(i f B dt)``, both tables built
+    by :func:`_powers`.  A frequency thus costs 3 trig values, and products
     about 2 log2(sqrt(N)) roundings deep, instead of the direct sum's N trig
-    values.  B = round(sqrt(N)), capped so that the (B, M) table stays
-    within ``_TABLE_ELEMENTS``; the block starts go through the product in
-    chunks of the same bound, each seeded with ``exp(i f a_J0)`` at its
-    first start ``a_J0 = t[J0 B]``.  A grid that is not uniform takes B = 1
-    and a table of ``exp(i f t)``, which is the direct sum.
+    values.  The merged frequencies go through in blocks, each small enough
+    that its two tables stay within ``_TABLE_ELEMENTS``, and the blocks'
+    products are added up in frequency order.  A grid that is not uniform
+    takes B = 1 and a table of ``exp(i f t)``, which is the direct sum.
     """
     real = not np.iscomplexobj(c)
     f, member = np.unique(f, return_inverse=True)
@@ -265,16 +273,18 @@ def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     n = t.size
     dt = (t[-1] - t[0]) / max(n - 1, 1)
     uniform = np.abs(t[0] + dt * np.arange(n) - t).max() <= 4 * np.finfo(float).eps * np.abs(t).max()
-    rows = max(1, int(_TABLE_ELEMENTS // f.size))
-    block = min(round(math.sqrt(n)), rows) if uniform else 1
-    right = _powers(c.astype(complex), np.exp(1j * f * dt), block)
-    step = np.exp(1j * f * (block * dt))
+    block = round(math.sqrt(n)) if uniform else 1
     starts = t[::block]
-    out = np.empty((starts.size, block), complex)
-    for lo in range(0, starts.size, rows):
-        a = starts[lo : lo + rows]
-        left = _powers(np.exp(1j * f * a[0]), step, a.size) if uniform else np.exp(1j * np.multiply.outer(a, f))
-        out[lo : lo + rows] = left @ right.T
+    width = max(1, _TABLE_ELEMENTS // max(block, starts.size))  # frequencies per table
+    out = np.zeros((starts.size, block), complex)
+    for lo in range(0, f.size, width):
+        fb = f[lo : lo + width]
+        right = _powers(c[lo : lo + width].astype(complex), np.exp(1j * fb * dt), block)
+        if uniform:
+            left = _powers(np.exp(1j * fb * t[0]), np.exp(1j * fb * (block * dt)), starts.size)
+        else:
+            left = np.exp(1j * np.multiply.outer(starts, fb))
+        out += left @ right.T
     out = out.ravel()[:n]
     return out.real if real else out
 
@@ -382,9 +392,12 @@ def pi_fidelity_avg(rabi: float, spec: EnsembleSpec) -> float:
 def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: bool):
     """Ramsey inversion or echo magnitude, in closed form in tau.
 
-    Pulse matrices are built once per member.  A delay turns the transverse
-    part ``u + i v`` by ``exp(i dw tau)`` and damps it by ``exp(-tau/t2)``,
-    so each member's signal is a trig polynomial in ``dw tau``.
+    Pulse matrices are built once per member, over blocks of members whose
+    (3, 3, members) stacks stay within ``_TABLE_ELEMENTS``; every step per
+    member is elementwise, so the blocks change no value.  A delay turns the
+    transverse part ``u + i v`` by ``exp(i dw tau)`` and damps it by
+    ``exp(-tau/t2)``, so each member's signal is a trig polynomial in
+    ``dw tau``.
     """
     if rabi <= 0:
         raise ValueError("rabi must be > 0")
@@ -393,27 +406,35 @@ def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: boo
     taus = _time_axis(tau_grid, "tau_grid")
     det, amp, wts = spec.members()
     dw = 2.0 * np.pi * det
-    # ideal pulses are the same resonant x rotations for every member
-    om, off = (rabi, 0.0) if ideal_pulses else (rabi * amp, dw)
-    half = _pulse_matrix(om, off, 0.5 * np.pi / rabi)
+    # per member: the terms of the tau-independent part, then the coefficients of harmonics 1 and 2 of dw tau
+    h0 = np.empty(det.size, complex if refocus else float)
+    h = np.empty((2 if refocus else 1, det.size), complex)
+    step = max(1, _TABLE_ELEMENTS // 9)
+    for lo in range(0, det.size, step):
+        s = slice(lo, lo + step)
+        # ideal pulses are the same resonant x rotations for every member
+        om, off = (rabi, 0.0) if ideal_pulses else (rabi * amp[s], dw[s])
+        half = _pulse_matrix(om, off, 0.5 * np.pi / rabi)
+        a = -half[:, 2]  # (0, 0, -1) after the first pi/2 pulse
+        a_perp = a[0] + 1j * a[1]
+        if not refocus:
+            q = half[2]  # w after the second pi/2 pulse is q . r
+            h0[s] = wts[s] * q[2] * a[2]
+            h[0, s] = wts[s] * (q[0] - 1j * q[1]) * a_perp
+            continue
+        # transverse part after the pi pulse: alpha r_perp + beta conj(r_perp) + gamma r_z
+        full = _pulse_matrix(om, off, np.pi / rabi)
+        col = full[0] + 1j * full[1]
+        alpha = 0.5 * (col[0] - 1j * col[1])
+        beta = 0.5 * (col[0] + 1j * col[1])
+        gamma = col[2]
+        h0[s] = wts[s] * beta * np.conj(a_perp)
+        h[0, s] = wts[s] * gamma * a[2]
+        h[1, s] = wts[s] * alpha * a_perp
     damp = np.exp(-taus / t2)
-    a = -half[:, 2]  # (0, 0, -1) after the first pi/2 pulse
-    a_perp = a[0] + 1j * a[1]
     if not refocus:
-        q = half[2]  # w after the second pi/2 pulse is q . r
-        h0 = (wts * q[2] * a[2]).sum()
-        h1 = wts * (q[0] - 1j * q[1]) * a_perp
-        return taus, h0 + damp * _trig_sum(taus, dw, h1).real
-    # transverse part after the pi pulse: alpha r_perp + beta conj(r_perp) + gamma r_z
-    full = _pulse_matrix(om, off, np.pi / rabi)
-    col = full[0] + 1j * full[1]
-    alpha = 0.5 * (col[0] - 1j * col[1])
-    beta = 0.5 * (col[0] + 1j * col[1])
-    gamma = col[2]
-    h0 = (wts * beta * np.conj(a_perp)).sum()
-    h1 = wts * gamma * a[2]
-    h2 = wts * alpha * a_perp
-    perp = damp**2 * (h0 + _trig_sum(taus, 2.0 * dw, h2)) + damp * _trig_sum(taus, dw, h1)
+        return taus, h0.sum() + damp * _trig_sum(taus, dw, h[0]).real
+    perp = damp**2 * (h0.sum() + _trig_sum(taus, 2.0 * dw, h[1])) + damp * _trig_sum(taus, dw, h[0])
     return taus, np.abs(perp)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,53 @@ class TestTwoPulseOracle:
         assert np.max(np.abs(echo - ref_echo)) <= 1e-6
 
 
+class TestWorkingSet:
+    @pytest.mark.parametrize("ideal", [False, True], ids=["finite", "ideal"])
+    @pytest.mark.parametrize("trace", [bloch.ramsey_trace, bloch.echo_trace], ids=["ramsey", "echo"])
+    def test_member_blocks_change_no_coefficient(self, monkeypatch, trace, ideal):
+        """Blocks of 7 members, which do not divide 101 x 11, give bitwise the coefficients of one block.
+
+        ``_trig_sum`` is stubbed to record its frequencies and coefficients and
+        to return zeros, so the signal left is the tau-independent part.
+        """
+        spec = bloch.EnsembleSpec(detuning_line=line(), rabi_spread=bloch.AmplitudeSpread(0.05), n_samples=101)
+        taus = np.linspace(0.0, 2e-7, 16)
+
+        def coefficients(elements):
+            sums = []
+
+            def recorded(t, f, c):
+                sums.append((f.tobytes(), c.tobytes()))
+                return np.zeros(t.size, c.dtype)
+
+            monkeypatch.setattr(bloch, "_trig_sum", recorded)
+            monkeypatch.setattr(bloch, "_TABLE_ELEMENTS", elements)
+            _, signal = trace(spec, OMEGA_GROUND, taus, t2=1e-6, ideal_pulses=ideal)
+            return signal.tobytes(), sums
+
+        members = spec.members()[0].size
+        one_block = coefficients(9 * members)
+        assert len(one_block[1]) == (2 if trace is bloch.echo_trace else 1)
+        assert coefficients(9 * 7) == one_block
+
+    def test_default_traces_stay_within_a_few_megabytes(self):
+        """One default rabi trace and one default echo trace on the default 2,001 x 11 members.
+
+        Whole (3, 3, members) pulse stacks and whole trig tables took 21 MB
+        for the rabi trace (2,001 points) and 9 MB for the echo (201 delays);
+        blocks of ``_TABLE_ELEMENTS`` keep each within 3 MB.
+        """
+        spec = bloch.EnsembleSpec()
+        tracemalloc.start()
+        try:
+            bloch.rabi_trace(spec, OMEGA_GROUND, np.linspace(0.0, 15.0 / 14.9e6, 2001))
+            bloch.echo_trace(spec, OMEGA_GROUND, np.linspace(1e-8, 1.5e-6, 201), t2=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
+
 @st.composite
 def trig_sums(draw, max_phase=100.0):
     """``(t, f, c)`` for ``bloch._trig_sum``.
@@ -356,9 +404,9 @@ class TestTrigSum:
         assert np.max(np.abs(got - (direct if np.iscomplexobj(c) else direct.real))) <= 1e-13
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
-    @pytest.mark.parametrize("rows", [None, 4], ids=["one-table", "chunked"])
+    @pytest.mark.parametrize("elements", [None, 1], ids=["one-table", "chunked"])
     @given(trig_sums(max_phase=2e3))
-    def test_matches_long_double_reference_at_rabi_phases(self, rows, case):
+    def test_matches_long_double_reference_at_rabi_phases(self, elements, case):
         """A default rabi trace reaches about 1.1e3 rad, so phases go to 2e3.
 
         Against the sum of the same double inputs in long double, 4,000
@@ -366,14 +414,15 @@ class TestTrigSum:
         1.0 (phase + sqrt(N)) eps sum|c|, ``phase = max|f| max|t|``: the
         factored grid is within an ulp or two of t, which costs phase eps,
         and a power of a rounded ``exp(i f dt)`` carries its error up to
-        sqrt(N) times.  The bound is twice that.  ``chunked`` shrinks the
-        table to 4 rows, so the block starts of grids from 49 points on go
-        through the product in several chunks, each re-seeded.
+        sqrt(N) times.  The bound is twice that.  ``chunked`` sends the sum
+        through the product in several frequency blocks: a table of one
+        element leaves each merged frequency a pair of tables of its own,
+        whose products are added up.
         """
         t, f, c = case
         with pytest.MonkeyPatch.context() as mp:
-            if rows is not None:
-                mp.setattr(bloch, "_TABLE_ELEMENTS", rows * np.unique(f).size)
+            if elements is not None:
+                mp.setattr(bloch, "_TABLE_ELEMENTS", elements)
             got = bloch._trig_sum(t, f, c)
         phase = np.multiply.outer(t.astype(np.longdouble), f.astype(np.longdouble))
         cl = c.astype(np.clongdouble)

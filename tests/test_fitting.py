@@ -152,6 +152,12 @@ class TestFitBehavior:
         with pytest.raises(fitting.FitError, match="did not converge"):
             fitting.fit((np.linspace(0, 1, 50), np.exp(-np.linspace(0, 1, 50))), "single-exponential")
 
+    def test_one_rate_fallback_needs_a_trace_one_rate_fits(self):
+        # (1 + 3x) exp(-2x) is where two rates merge: the pair fits it, one rate cannot
+        x = np.linspace(0.0, 1.0, 61)
+        with pytest.raises(fitting.FitError, match="no two distinct rates"):
+            fitting.fit((x, (1.0 + 3.0 * x) * np.exp(-2.0 * x) + 0.5), "biexponential")
+
 
 def signed(lo, hi):
     return st.one_of(st.floats(lo, hi), st.floats(-hi, -lo))
