@@ -10,13 +10,16 @@ about the axis
 by the angle ``sqrt(Omega^2 + (2 pi Delta)^2) * duration``.  Pulses are
 propagated by this exact rotation rather than by ODE stepping; relaxation
 during pulses is neglected since pulse durations (tens of ns) are five
-orders of magnitude below all lifetimes.  :func:`propagate` applies one
-pulse to one spin.  The three protocols, Rabi, Ramsey and echo, are
-ensemble kernels: each member's pulse rotations are built once, as
-(3, 3, members) stacks with the members last, one block of members at a
-time; a delay is a z-rotation by ``2 pi Delta tau``, so Ramsey and echo
-signals are evaluated in closed form in tau, as trig sums over members, like
-the Rabi trace in t.
+orders of magnitude below all lifetimes.  One elementwise helper,
+:func:`_pulse`, gives that rotation for phase 0 in complex form: with
+``r_perp = u + i v``, four coefficients map ``r_perp`` and ``w``; a phase
+turns ``r_perp`` by ``exp(-i phi)`` before the map and back after it.
+:func:`propagate` applies one pulse to one spin, and the pi-pulse fidelities
+read the ground-state transfer probability from the same map.  The three
+protocols, Rabi, Ramsey and echo, are ensemble kernels: each member's pulse
+maps are built once, one block of members at a time; a delay is a
+z-rotation by ``2 pi Delta tau``, so Ramsey and echo signals are evaluated
+in closed form in tau, as trig sums over members, like the Rabi trace in t.
 A trig sum merges members of equal frequency (Rabi's generalized frequencies
 are even in the detuning; the two-pulse harmonics do not depend on the
 amplitude node) and splits a uniform time grid of N points into about
@@ -186,51 +189,40 @@ def _sample_line(rng, line: LineShape, n: int, span_fwhm: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rotation kernels
+# Pulse and trig-sum kernels
 
 
-def _rotation(kx, ky, kz, angle) -> np.ndarray:
-    """(3, 3, ...) Rodrigues matrices about unit axes (kx, ky, kz) by angle.
+def _pulse(om, dw, duration):
+    """A phase-0 pulse as ``(alpha, beta, gamma, eps)``, elementwise over broadcast inputs.
 
-    Members go last, so each entry is one contiguous array, written as
-    ``(c delta_ij + s cross_ij) + ((1 - c) k_i) k_j`` with ``cross`` the
-    cross-product matrix of k.  These are the operations of
-    ``c I + s cross + (1 - c) k k^T`` evaluated left to right, so every
-    entry, signed zeros included, is bitwise the same for a member alone
-    and in a stack.
+    ``om`` and ``dw`` (= 2 pi detuning) are in rad/s.  The pulse rotates by
+    the angle ``G duration``, ``G = hypot(om, dw)``, about the axis
+    ``(kx, 0, kz) = (om, 0, dw) / G``.  In complex form, with ``r_perp =
+    u + i v``, it maps
+
+        r_perp -> alpha r_perp + beta conj(r_perp) + gamma w
+        w      -> Re(gamma r_perp) + eps w
+
+    which is the Rodrigues rotation ``c I + s [k]x + (1 - c) k k^T``
+    (Levitt, Spin Dynamics, ch. 10).  ``beta`` is the transfer probability
+    from the ground state.
     """
-    kx, ky, kz, angle = np.broadcast_arrays(kx, ky, kz, angle)
-    c, s = np.cos(angle), np.sin(angle)
-    k = (kx, ky, kz)
-    sk = [s * ki for ki in k]
-    diag, off, vers = c + s * 0.0, c * 0.0, 1.0 - c
-    out = np.empty((3, 3) + angle.shape)
-    for i in range(3):
-        ck = vers * k[i]
-        for j in range(3):
-            out[i, j] = ck * k[j]
-        # cross = [[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]]
-        j, l = (i + 1) % 3, (i + 2) % 3
-        out[i, i] += diag
-        out[i, j] += off - sk[l]
-        out[i, l] += off + sk[j]
-    return out
-
-
-def _pulse_matrix(omega, dw, duration, phase=0.0) -> np.ndarray:
-    """Pulse rotations; ``omega`` and ``dw`` (= 2 pi detuning), in rad/s, broadcast."""
-    gen = np.hypot(omega, dw)
+    gen = np.hypot(om, dw)
     safe = np.where(gen == 0.0, 1.0, gen)
-    kx, ky = omega * np.cos(phase) / safe, omega * np.sin(phase) / safe
-    return _rotation(kx, ky, dw / safe, gen * duration)
+    kx, kz = om / safe, dw / safe
+    angle = gen * duration
+    c, s = np.cos(angle), np.sin(angle)
+    vers = 1.0 - c
+    beta = 0.5 * vers * kx**2
+    return c + beta + 1j * s * kz, beta, kx * (vers * kz - 1j * s), c + vers * kz**2
 
 
 #: Largest table, in elements, that an ensemble kernel builds at once: the
-#: trig tables of ``_trig_sum``, and the (3, 3, members) pulse stacks of
-#: ``_two_pulse_signal``, whose member blocks are a ninth of it.  A trig table
-#: (256 KiB) stays in cache, and a stack (32 bytes short of 128 KiB) below
-#: glibc's default mmap threshold, so blocks reuse warm heap memory instead of
-#: faulting fresh pages.
+#: trig tables of ``_trig_sum``, and the pulse maps of ``_two_pulse_signal``,
+#: whose member blocks are a sixth of it, since ``alpha`` and ``gamma`` are
+#: complex and ``beta`` and ``eps`` real.  A trig table (256 KiB) stays in
+#: cache, and a complex member array (43 KiB) below glibc's default mmap
+#: threshold, so blocks reuse warm heap memory instead of faulting fresh pages.
 _TABLE_ELEMENTS = 2**14
 
 
@@ -292,10 +284,15 @@ def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
 def propagate(b: BlochVector, p: Pulse, detuning: float = 0.0) -> BlochVector:
     """Exact rotation of ``b`` under pulse ``p`` at ``detuning`` Hz.
 
-    Composition is exact: two half-duration pulses reproduce the full pulse
-    to rounding.
+    The phase-0 map of :func:`_pulse` acts on ``r_perp`` turned by
+    ``exp(-i phase)``, which is then turned back.  Composition is exact:
+    two half-duration pulses reproduce the full pulse to rounding.
     """
-    return BlochVector(*(_pulse_matrix(p.rabi, 2.0 * np.pi * detuning, p.duration, p.phase) @ b.as_array()))
+    alpha, beta, gamma, eps = _pulse(p.rabi, 2.0 * np.pi * detuning, p.duration)
+    turn = complex(math.cos(p.phase), math.sin(p.phase))
+    r = complex(b.u, b.v) * turn.conjugate()
+    out = (alpha * r + beta * r.conjugate() + gamma * b.w) * turn
+    return BlochVector(out.real, out.imag, (gamma * r).real + eps * b.w)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +348,7 @@ def pi_fidelity_center(rabi: float, amplitude_spread: AmplitudeSpread) -> float:
     a = 1.0 + amplitude_spread.half_width * np.linspace(-1.0, 1.0, 201)
     w = np.ones(201)
     w[0] = w[-1] = 0.5
-    transfer = np.sin(np.pi * a / 2.0) ** 2
+    transfer = _pulse(rabi * a, 0.0, np.pi / rabi)[1]
     return float((w * transfer).sum() / w.sum())
 
 
@@ -374,9 +371,7 @@ def pi_fidelity_avg(rabi: float, spec: EnsembleSpec) -> float:
 
     def value(npts: int) -> float:
         d, w = _detuning_grid(spec.detuning_line, npts, spec.span_fwhm)
-        dw = 2.0 * np.pi * d  # absolute detuning from the drive, as everywhere
-        gen2 = rabi**2 + dw**2
-        p = (rabi**2 / gen2) * np.sin(0.5 * np.sqrt(gen2) * np.pi / rabi) ** 2
+        p = _pulse(rabi, 2.0 * np.pi * d, np.pi / rabi)[1]  # absolute detuning from the drive, as everywhere
         return float((w * p).sum())
 
     prev = value(n)
@@ -392,12 +387,11 @@ def pi_fidelity_avg(rabi: float, spec: EnsembleSpec) -> float:
 def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: bool):
     """Ramsey inversion or echo magnitude, in closed form in tau.
 
-    Pulse matrices are built once per member, over blocks of members whose
-    (3, 3, members) stacks stay within ``_TABLE_ELEMENTS``; every step per
-    member is elementwise, so the blocks change no value.  A delay turns the
-    transverse part ``u + i v`` by ``exp(i dw tau)`` and damps it by
-    ``exp(-tau/t2)``, so each member's signal is a trig polynomial in
-    ``dw tau``.
+    Each member's pulse maps (:func:`_pulse`) are built once, over blocks of
+    members within ``_TABLE_ELEMENTS``; every step per member is elementwise,
+    so the blocks change no value.  A delay turns the transverse part
+    ``u + i v`` by ``exp(i dw tau)`` and damps it by ``exp(-tau/t2)``, so
+    each member's signal is a trig polynomial in ``dw tau``.
     """
     if rabi <= 0:
         raise ValueError("rabi must be > 0")
@@ -409,27 +403,20 @@ def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: boo
     # per member: the terms of the tau-independent part, then the coefficients of harmonics 1 and 2 of dw tau
     h0 = np.empty(det.size, complex if refocus else float)
     h = np.empty((2 if refocus else 1, det.size), complex)
-    step = max(1, _TABLE_ELEMENTS // 9)
+    step = max(1, _TABLE_ELEMENTS // 6)
     for lo in range(0, det.size, step):
         s = slice(lo, lo + step)
         # ideal pulses are the same resonant x rotations for every member
         om, off = (rabi, 0.0) if ideal_pulses else (rabi * amp[s], dw[s])
-        half = _pulse_matrix(om, off, 0.5 * np.pi / rabi)
-        a = -half[:, 2]  # (0, 0, -1) after the first pi/2 pulse
-        a_perp = a[0] + 1j * a[1]
-        if not refocus:
-            q = half[2]  # w after the second pi/2 pulse is q . r
-            h0[s] = wts[s] * q[2] * a[2]
-            h[0, s] = wts[s] * (q[0] - 1j * q[1]) * a_perp
+        _, _, gamma, eps = _pulse(om, off, 0.5 * np.pi / rabi)
+        a_perp, a_z = -gamma, -eps  # (0, 0, -1) after the first pi/2 pulse
+        if not refocus:  # w after the second pi/2 pulse is Re(gamma r_perp) + eps r_z
+            h0[s] = wts[s] * eps * a_z
+            h[0, s] = wts[s] * gamma * a_perp
             continue
-        # transverse part after the pi pulse: alpha r_perp + beta conj(r_perp) + gamma r_z
-        full = _pulse_matrix(om, off, np.pi / rabi)
-        col = full[0] + 1j * full[1]
-        alpha = 0.5 * (col[0] - 1j * col[1])
-        beta = 0.5 * (col[0] + 1j * col[1])
-        gamma = col[2]
+        alpha, beta, gamma, _ = _pulse(om, off, np.pi / rabi)
         h0[s] = wts[s] * beta * np.conj(a_perp)
-        h[0, s] = wts[s] * gamma * a[2]
+        h[0, s] = wts[s] * gamma * a_z
         h[1, s] = wts[s] * alpha * a_perp
     damp = np.exp(-taus / t2)
     if not refocus:

@@ -406,6 +406,8 @@ def _build_heating_budget(params, seed):
         raise ValueError("rep_period_s must be >= pulse_len_s")
     rates = _grid(np.geomspace, 1.0, 1e5, params["points"], "points")
     rates = rates[1.0 / rates >= pulse_len]  # a period shorter than the pulse is no pulse train
+    if not rates.size:
+        raise ValueError(f"pulse_len_s must be at most 1 s, the period of the sweep's lowest rate; got {pulse_len}")
 
     def measure():
         report = resonator.heating_budget(hm, p_peak, pulse_len, rep_period)

@@ -117,6 +117,7 @@ _MODELS = {
 }
 
 MODEL_NAMES = tuple(_MODELS)
+_LINEAR = {"amplitude", "amp1", "amp2", "offset"}  # the parameters that variable projection solves for
 
 
 def _rate_grid(u, points):
@@ -249,8 +250,9 @@ def fit(trace, model: str) -> FitResult:
     Exponential models report time constants ``tau`` (and
     ``tau_slow``/``tau_fast``, sorted) alongside the raw rates, which keep
     their signs; a rate <= 0, a trace that does not decay, has tau = inf.
-    Constant input is degenerate for every model; it yields a
-    zero-amplitude result rather than an error.  Raises :class:`FitError`
+    Constant input is degenerate for every model; it yields zero
+    amplitudes and the offset, with every other parameter and its sigma nan
+    (so tau is inf), rather than an error.  Raises :class:`FitError`
     for non-finite data, too few points, x values that are all equal, an
     unknown model, a search that did not converge, or a biexponential whose
     rates merge on a trace that one rate fits far worse than the merged pair.
@@ -305,6 +307,9 @@ def fit(trace, model: str) -> FitResult:
     scale, shift = _param_map(names, x0, xs, ys, dict(zip(names, popt)).get("frequency", 0.0) / xs)
     params = dict(zip(names, (scale * popt + shift).tolist()))
     uncert = dict(zip(names, (scale * sigma).tolist()))
+    if not np.ptp(y):  # constant input fixes no nonlinear parameter
+        for name in set(names) - _LINEAR:
+            params[name] = uncert[name] = np.nan
     _add_time_constants(model, params, uncert)
     return FitResult(model=model, parameters=params, uncertainties=uncert, residual_norm=float(np.linalg.norm(r)) * ys)
 

@@ -284,14 +284,14 @@ class TestEcho:
         assert amp[0] == pytest.approx(math.exp(-0.5), abs=1e-9)
 
     @pytest.mark.parametrize("trace, pulses", [(bloch.ramsey_trace, 1), (bloch.echo_trace, 2)], ids=["ramsey", "echo"])
-    def test_one_pulse_stack_per_pulse_kind_used(self, monkeypatch, trace, pulses):
-        durations, pulse_matrix = [], bloch._pulse_matrix
+    def test_one_pulse_map_per_pulse_kind_used(self, monkeypatch, trace, pulses):
+        durations, pulse = [], bloch._pulse
 
-        def counted(omega, dw, duration, phase=0.0):
+        def counted(om, dw, duration):
             durations.append(duration)
-            return pulse_matrix(omega, dw, duration, phase)
+            return pulse(om, dw, duration)
 
-        monkeypatch.setattr(bloch, "_pulse_matrix", counted)
+        monkeypatch.setattr(bloch, "_pulse", counted)
         trace(spec_no_spread(n=101), OMEGA_GROUND, [0.0, 1e-7], t2=1e-6)
         assert durations == [0.5 * math.pi / OMEGA_GROUND, math.pi / OMEGA_GROUND][:pulses]
 
@@ -346,16 +346,16 @@ class TestWorkingSet:
             return signal.tobytes(), sums
 
         members = spec.members()[0].size
-        one_block = coefficients(9 * members)
+        one_block = coefficients(6 * members)
         assert len(one_block[1]) == (2 if trace is bloch.echo_trace else 1)
-        assert coefficients(9 * 7) == one_block
+        assert coefficients(6 * 7) == one_block
 
     def test_default_traces_stay_within_a_few_megabytes(self):
         """One default rabi trace and one default echo trace on the default 2,001 x 11 members.
 
-        Whole (3, 3, members) pulse stacks and whole trig tables took 21 MB
-        for the rabi trace (2,001 points) and 9 MB for the echo (201 delays);
-        blocks of ``_TABLE_ELEMENTS`` keep each within 3 MB.
+        Whole trig tables took 21 MB for the rabi trace (2,001 points), and
+        whole-ensemble pulse maps and coefficients 6.6 MB for the echo (201
+        delays); blocks of ``_TABLE_ELEMENTS`` keep each within 3 MB.
         """
         spec = bloch.EnsembleSpec()
         tracemalloc.start()
@@ -432,27 +432,23 @@ class TestTrigSum:
         assert np.max(np.abs(got - ref)) <= bound * np.abs(c).sum()
 
 
-unit_vectors = (
-    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
-    .filter(lambda v: math.hypot(*v) > 0.1)
-    .map(lambda v: bloch.BlochVector(*(np.array(v) / math.hypot(*v))))
-)
-axes = st.one_of(
-    st.sampled_from([(0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (1.0, 0.0, -0.0), (-0.0, -1.0, 0.0)]),
-    unit_vectors.map(lambda b: (b.u, b.v, b.w)),
-)
-angles = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -0.5 * math.pi]), st.floats(-1e4, 1e4))
+rates = st.one_of(st.just(0.0), st.floats(-1e9, 1e9))  # rad/s
 
 
-class TestRotation:
-    @given(st.lists(st.tuples(axes, angles), min_size=1, max_size=20))
-    def test_stack_is_the_per_member_rotation(self, members):
-        """Members go last in the stack, and each is bitwise its own rotation."""
-        kx, ky, kz = np.array([axis for axis, _ in members]).T
-        angle = np.array([a for _, a in members])
-        stack = bloch._rotation(kx, ky, kz, angle)
-        assert stack.shape == (3, 3, len(members))
-        for m, ((x, y, z), a) in enumerate(members):
-            single = bloch._rotation(x, y, z, a)
-            assert stack[:, :, m].tobytes() == single.tobytes()
-            assert np.max(np.abs(single @ single.T - np.eye(3))) <= 1e-12
+class TestPulse:
+    @given(rates, rates, st.floats(0.0, 1e-5))
+    def test_complex_map_is_the_rodrigues_rotation(self, om, dw, duration):
+        """The 3x3 matrix of the complex map is ``c I + s [k]x + (1 - c) k k^T``, a proper rotation."""
+        alpha, beta, gamma, eps = bloch._pulse(om, dw, duration)
+        # columns: the images of u (r_perp = 1), v (r_perp = i) and w
+        images = [(alpha + beta, gamma.real), (1j * alpha - 1j * beta, (1j * gamma).real), (gamma, eps)]
+        got = np.array([[r.real, r.imag, w] for r, w in images]).T
+        gen = math.hypot(om, dw)
+        kx, kz = (om / gen, dw / gen) if gen > 0 else (0.0, 0.0)
+        c, s = math.cos(gen * duration), math.sin(gen * duration)
+        k = np.array([kx, 0.0, kz])
+        cross = np.array([[0.0, -kz, 0.0], [kz, 0.0, -kx], [0.0, kx, 0.0]])
+        rodrigues = c * np.eye(3) + s * cross + (1.0 - c) * np.outer(k, k)
+        assert np.max(np.abs(got - rodrigues)) <= 1e-12
+        assert np.max(np.abs(got @ got.T - np.eye(3))) <= 1e-12
+        assert np.linalg.det(got) == pytest.approx(1.0, abs=1e-12)

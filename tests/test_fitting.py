@@ -85,10 +85,20 @@ class TestExponentials:
         assert res.uncertainties["tau"] == math.inf  # sigma_rate / rate**2 with rate**2 = 0
 
     def test_constant_trace_yields_zero_amplitude(self):
-        t = np.linspace(0.0, 1.0, 50)
-        res = fitting.fit((t, np.zeros(50)), "single-exponential")
-        assert abs(res.parameters["amplitude"]) < 1e-12
-        assert res.residual_norm < 1e-12
+        """A flat trace fixes the amplitudes and offset but no rate, frequency, phase, center or width."""
+        t = np.linspace(0.3, 1.0, 50)
+        for model in fitting.MODEL_NAMES:
+            for level in (0.0, -2.5):
+                res = fitting.fit((t, np.full(50, level)), model)
+                for name, value in res.parameters.items():
+                    if name in ("amplitude", "amp1", "amp2", "offset"):
+                        assert value == (level if name == "offset" else 0.0)
+                        assert res.uncertainties[name] == 0.0
+                    elif name.startswith("tau"):
+                        assert value == math.inf
+                    else:
+                        assert math.isnan(value) and math.isnan(res.uncertainties[name])
+                assert res.residual_norm == 0.0
 
 
 class TestLorentzian:
