@@ -27,7 +27,7 @@ from .bloch import (
 )
 from .config import ConfigError
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, build_config, run
-from .fitting import FitError, FitResult, fit, read_trace_csv
+from .fitting import FitError, FitResult, fit
 from .geometry import (
     EXCITED_CONFIG,
     GROUND_CONFIG,

@@ -242,12 +242,26 @@ def _powers(first: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _merge(f: np.ndarray, *cs: np.ndarray):
+    """The distinct values of ``f``, sorted, and each ``c`` summed over the members of each value.
+
+    Members merge only where their frequencies are bitwise equal, so no
+    symmetry of the ensemble is assumed.  Doubling ``f`` doubles the distinct
+    values and keeps which members share one, so a harmonic reuses a merge.
+    """
+    f, member = np.unique(f, return_inverse=True)
+    return f, *(
+        np.bincount(member, c.real, f.size) + 1j * np.bincount(member, c.imag, f.size) if np.iscomplexobj(c)
+        else np.bincount(member, c, f.size) for c in cs
+    )
+
+
 def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``sum_m c_m exp(i f_m t)`` at every t; real ``c`` gives the real part.
 
-    Members whose frequencies are bitwise equal are merged first, their
-    coefficients summed, so no symmetry of the ensemble is assumed.  A grid
-    within a few ulps of ``t[0] + k dt`` is then split into blocks of
+    Callers merge members of bitwise-equal frequency first (:func:`_merge`);
+    a repeated frequency still sums right, at the cost of its own tables.  A
+    grid within a few ulps of ``t[0] + k dt`` is split into blocks of
     B = round(sqrt(N)) points, ``t[J B + j] = a_J + j dt``, and the sum is
     ``L @ R.T`` with ``R[j] = c z**j``, ``z = exp(i f dt)``, and
     ``L[J] = exp(i f t[0]) w**J``, ``w = exp(i f B dt)``, both tables built
@@ -259,9 +273,6 @@ def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     takes B = 1 and a table of ``exp(i f t)``, which is the direct sum.
     """
     real = not np.iscomplexobj(c)
-    f, member = np.unique(f, return_inverse=True)
-    merged = np.bincount(member, c.real, f.size)
-    c = merged if real else merged + 1j * np.bincount(member, c.imag, f.size)
     n = t.size
     dt = (t[-1] - t[0]) / max(n - 1, 1)
     uniform = np.abs(t[0] + dt * np.arange(n) - t).max() <= 4 * np.finfo(float).eps * np.abs(t).max()
@@ -328,7 +339,7 @@ def rabi_trace(spec: EnsembleSpec, rabi: float, t_grid):
     gen2 = np.where(gen2 == 0.0, 1.0, gen2)
     frac = wts * om**2 / gen2
     # w(t) = -(1 - frac + frac cos(gen t)) member-wise
-    mean_w = -((wts - frac).sum() + _trig_sum(t, np.sqrt(gen2), frac))
+    mean_w = -((wts - frac).sum() + _trig_sum(t, *_merge(np.sqrt(gen2), frac)))
     return t, mean_w
 
 
@@ -419,9 +430,10 @@ def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: boo
         h[0, s] = wts[s] * gamma * a_z
         h[1, s] = wts[s] * alpha * a_perp
     damp = np.exp(-taus / t2)
+    f, *c = _merge(dw, *h)  # one merge serves both harmonics
     if not refocus:
-        return taus, h0.sum() + damp * _trig_sum(taus, dw, h[0]).real
-    perp = damp**2 * (h0.sum() + _trig_sum(taus, 2.0 * dw, h[1])) + damp * _trig_sum(taus, dw, h[0])
+        return taus, h0.sum() + damp * _trig_sum(taus, f, c[0]).real
+    perp = damp**2 * (h0.sum() + _trig_sum(taus, 2.0 * f, c[1])) + damp * _trig_sum(taus, f, c[0])
     return taus, np.abs(perp)
 
 

@@ -15,15 +15,21 @@ parameters are fixed: the rate, both rates, the frequency and decay rate,
 or the center and inverse width.  So every fit is a variable projection
 (Golub and Pereyra, SIAM J. Numer. Anal. 10, 1973; O'Leary and Rust,
 Comput. Optim. Appl. 54, 2013) on data rescaled to order unity: each
-evaluation solves for the amplitudes and offset, and the search runs over
-the nonlinear parameters alone.  It starts from the least residual on a log
-grid of rates (each pair of rates for the biexponential; inverse widths for
-the Lorentzian), with the sinusoid frequency at the discrete spectrum peak
-and the Lorentzian center at the point farthest from the median.  A
-Levenberg-Marquardt search with forward-difference Jacobians refines it;
-one that needs more than :data:`MAX_EVALS` evaluations raises
-:class:`FitError`.  The engine needs numpy alone, and identical inputs give
-bit-identical results.
+evaluation solves the centered normal equations of its one or two columns
+in closed form (:func:`_solve`), and the search runs over the nonlinear
+parameters alone.  It starts from the least residual on a log grid of rates
+(each pair of rates for the biexponential; inverse widths for the
+Lorentzian), every candidate going through the same closed form, a block
+of them per call, with the sinusoid frequency at the discrete spectrum
+peak and the Lorentzian center at the point farthest from the median.  A
+Levenberg-Marquardt search refines it.  Each basis takes a leading batch
+axis of parameter vectors, so a forward-difference Jacobian is one batched
+evaluation, and the 1- or 2-parameter step is in closed form too.  A search
+that needs more than :data:`MAX_EVALS` evaluations raises :class:`FitError`.
+The engine needs numpy alone, and identical inputs give bit-identical
+results.  Its sums are einsum calls, not BLAS ones, so the BLAS thread count
+and kernel change no fitted value of a given trace; only the covariance's
+pseudo-inverse, which the sigmas read, calls BLAS.
 
 One-sigma uncertainties are the Gauss-Newton covariance built from a
 forward-difference Jacobian of the full model at the optimum; they are zero
@@ -55,32 +61,35 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# Bases: the columns that a model's amplitudes multiply, as functions of its
-# nonlinear parameters q, on rescaled coordinates (x in [0, 1], y of order
-# 1).  Each takes any number of trailing entries of q, which is how the seed
+# Bases: the columns (..., k, n) that a model's amplitudes multiply, as
+# functions of its nonlinear parameters q (..., p), on rescaled coordinates
+# (x in [0, 1], y of order 1).  Leading axes of q are a batch of parameter
+# vectors; the last takes any number of entries, which is how the seed
 # builds every candidate's columns in one call.  Rates enter signed, so that
 # an undamped trace sits inside the search, and are reported signed.
 
 
 def _exponentials(q, u):
     """One decay column per rate in ``q``."""
-    return np.exp(-np.outer(q, u))
+    return np.exp(-q[..., None] * u)
 
 
 def _damped_cosines(q, u):
-    """Cosine columns at frequency q[0], one per decay rate in q[1:], then the sine columns."""
-    decay, phase = np.exp(-np.outer(q[1:], u)), 2.0 * np.pi * q[0] * u
-    return np.concatenate([decay * np.cos(phase), decay * np.sin(phase)])
+    """Cosine columns at frequency q[..., 0], one per decay rate in q[..., 1:], then the sine columns."""
+    decay, phase = np.exp(-q[..., 1:, None] * u), 2.0 * np.pi * q[..., :1, None] * u
+    return np.concatenate([decay * np.cos(phase), decay * np.sin(phase)], axis=-2)
 
 
 def _lorentzians(q, u):
-    """One column centered on q[0] per inverse width in q[1:]."""
-    return 1.0 / (1.0 + (2.0 * np.outer(q[1:], u - q[0])) ** 2)
+    """One column centered on q[..., 0] per inverse width in q[..., 1:], finished in place."""
+    out = np.square(2.0 * q[..., 1:, None] * (u - q[..., :1, None]))
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _spectrum_peak(u, v):
     """The frequency of the discrete spectrum peak; u spans 1 in len(u) - 1 steps."""
-    return [(1 + int(np.argmax(np.abs(np.fft.rfft(v - v.mean())[1:])))) * (len(u) - 1) / len(u)]
+    return [(1 + int(np.argmax(np.abs(np.fft.rfft(v - v.sum() / len(v))[1:])))) * (len(u) - 1) / len(u)]
 
 
 # Grid points per scanned parameter, chosen on the holeburn and sign-change
@@ -95,29 +104,67 @@ _MERGED = 1e-6  # a biexponential whose second column keeps less than this share
 # On 2,260 holeburn sweep runs the 31 correct fallbacks (a negligible fast amplitude) left at most 1.55 times
 # it, and the 849 more than 10% off (near-equal lifetimes: the trace is not one exponential) at least 7.6.
 _FALLBACK_RATIO = 3.0
+_TRIANGLE = {1: ((0, 0),), 2: ((0, 0), (0, 1), (1, 1))}  # the upper triangle of a 1 x 1 or 2 x 2 matrix
+# Seed candidates solved per call.  Their arrays stay at 8 KiB, so a seed leaves glibc no heap top to trim
+# and fault back in on the next one: all 8,128 biexponential pairs at once cost 222 minor faults per seed.
+_BLOCK = 1024
 
 # name: (parameter names, basis, grid indices of each candidate's scanned
-# parameters, the fixed start of q, parameters from (q, amplitudes, offset))
+# parameters, the fixed start of q, parameters from (q, amplitudes, offset),
+# each over the leading axes of q (..., p) and the amplitudes (..., k))
 _MODELS = {
     "single-exponential": (
-        ("amplitude", "rate", "offset"), _exponentials, _SINGLES, lambda u, v: [], lambda q, a, c: [a[0], q[0], c]
+        ("amplitude", "rate", "offset"), _exponentials, _SINGLES, lambda u, v: [],
+        lambda q, a, c: [a[..., 0], q[..., 0], c],
     ),
     "biexponential": (
         ("amp1", "rate1", "amp2", "rate2", "offset"), _exponentials, _PAIRS, lambda u, v: [],
-        lambda q, a, c: [a[0], q[0], a[1], q[1], c],
+        lambda q, a, c: [a[..., 0], q[..., 0], a[..., 1], q[..., 1], c],
     ),
     "sinusoid-decay": (  # a cos(t + phi) = a cos(phi) cos(t) - a sin(phi) sin(t)
         ("amplitude", "frequency", "phase", "decay_rate", "offset"), _damped_cosines, _SINGLES, _spectrum_peak,
-        lambda q, a, c: [np.hypot(a[0], a[1]), q[0], np.arctan2(-a[1], a[0]), q[1], c],
+        lambda q, a, c: [np.hypot(a[..., 0], a[..., 1]), q[..., 0], np.arctan2(-a[..., 1], a[..., 0]), q[..., 1], c],
     ),
     "lorentzian": (
         ("amplitude", "center", "fwhm", "offset"), _lorentzians, _SINGLES,
-        lambda u, v: [u[np.argmax(np.abs(v - np.median(v)))]], lambda q, a, c: [a[0], q[0], 1.0 / q[1], c],
+        lambda u, v: [u[np.argmax(np.abs(v - np.median(v)))]],
+        lambda q, a, c: [a[..., 0], q[..., 0], 1.0 / q[..., 1], c],
     ),
 }
 
 MODEL_NAMES = tuple(_MODELS)
 _LINEAR = {"amplitude", "amp1", "amp2", "offset"}  # the parameters that variable projection solves for
+
+
+def _dot(a, b):
+    """Sum of ``a * b`` over the last axis, by einsum: no BLAS call, so no thread count or kernel moves a bit."""
+    return np.einsum("...n,...n->...", a, b)
+
+
+def _solve(g, b, sq, dependent):
+    """Least squares on one or two centered columns and the offset, in closed form over any trailing axes.
+
+    ``g`` is the upper triangle of the columns' centered Gram matrix, (00,)
+    or (00, 01, 11) as :data:`_TRIANGLE` orders it; ``b`` holds their
+    products with the centered data and ``sq`` their squared norms before
+    centering, one entry per column.  Eliminating in column order leaves
+    each column a pivot, the part of its squared norm outside the offset and
+    the earlier column.  A column whose pivot is at most ``dependent`` of
+    ``sq`` is dropped, with amplitude zero, so a pair of equal rates is the
+    single exponential.  Returns the amplitudes (k, ...), the squared norm
+    of the data they explain, and whether every column was kept.
+    """
+    keep = g[0] > dependent * sq[0]
+    pivot = np.where(keep, g[0], np.inf)[()]  # a dropped column's amplitude is zero; [()] keeps a scalar one
+    if len(g) == 1:
+        a0 = b[0] / pivot
+        return np.array([a0]), a0 * b[0], keep
+    lower = g[1] / pivot
+    pivot1 = g[2] - lower * g[1]
+    keep1 = pivot1 > dependent * sq[1]
+    a1 = (b[1] - lower * b[0]) / np.where(keep1, pivot1, np.inf)[()]
+    a0 = (b[0] - g[1] * a1) / pivot
+    return np.array([a0, a1]), a0 * b[0] + a1 * b[1], keep & keep1
 
 
 def _rate_grid(u, points):
@@ -133,65 +180,54 @@ def _seed(basis, cands, fixed, u, v):
     """The nonlinear parameters of the grid candidate of least residual.
 
     A candidate's parameters are ``fixed`` followed by the grid values that
-    one column of ``cands`` indexes.  Centering drops the offset from the
-    normal equations, which are eliminated column by column for all
-    candidates at once; a candidate with a column nearly dependent on the
-    offset or on its earlier columns is skipped.
+    one column of ``cands`` indexes.  The columns of every grid value are
+    built and centered once, and :func:`_solve` takes the normal equations
+    of :data:`_BLOCK` candidates per call; a candidate with a column it
+    drops is skipped.
     """
     g = _rate_grid(u, cands.max() + 1)
     cols = basis(np.concatenate([fixed, g]), u)
     # each grid value gives len(cols) // len(g) columns: a cosine and a sine for the damped cosines
     cols_of = (cands + len(g) * np.arange(len(cols) // len(g))[:, None, None]).reshape(-1, cands.shape[1])
-    mean = cols.mean(axis=1)
-    norms = np.sqrt(np.einsum("in,in->i", cols, cols))
-    unit = (cols - mean[:, None]) / norms[:, None]  # centered, over the norm before centering
-    vc = v - v.mean()
-    # the normal equations, (k, k, candidates), by einsum: a threaded BLAS call costs more here
-    if cols_of.size > len(cols):  # candidates share columns, so the full Gram is cheaper
-        a = np.einsum("in,jn->ij", unit, unit).ravel()[cols_of[:, None] * len(cols) + cols_of]
-    else:
-        blocks = unit[cols_of]
-        a = np.einsum("skn,tkn->stk", blocks, blocks)
-    b = np.einsum("in,n->i", unit, vc)[cols_of]
-    explained = np.zeros(cands.shape[1])
-    ok = np.ones(cands.shape[1], dtype=bool)
-    for t in range(len(cols_of)):
-        ok &= a[t, t] > _DEPENDENT
-        pivot = np.where(ok, a[t, t], 1.0)
-        explained += b[t] ** 2 / pivot
-        lower = a[t + 1 :, t] / pivot
-        a[t + 1 :, t + 1 :] -= lower[:, None] * a[t, t + 1 :]
-        b[t + 1 :] -= lower * b[t]
-    k = int(np.argmax(np.where(ok, explained, -1.0)))
-    return np.concatenate([fixed, g[cands[:, k]]])
+    sq = _dot(cols, cols)
+    cols -= (cols.sum(axis=1) / len(u))[:, None]
+    centered_sq, b = _dot(cols, cols), np.einsum("in,n->i", cols, v - v.sum() / len(v))
+    if shared := cols_of.size > len(cols):  # candidates share columns, so the full Gram is cheaper
+        # by einsum over the transposed columns: a BLAS call here is 4-5 times faster, but its threads
+        # spin, which nearly doubled fit-bound's CPU time on a 2-vCPU host
+        ct = cols.T.copy()
+        full = np.einsum("ni,nj->ij", ct, ct)
+    scores = []
+    for co in np.split(cols_of, range(_BLOCK, cols_of.shape[1], _BLOCK), axis=1):
+        gram = [centered_sq[co[0]]]
+        if len(co) == 2:
+            gram += [full[co[0], co[1]] if shared else _dot(cols[co[0]], cols[co[1]]), centered_sq[co[1]]]
+        _, explained, ok = _solve(gram, b[co], sq[co], _DEPENDENT)
+        scores.append(np.where(ok, explained, -1.0))
+    return np.concatenate([fixed, g[cands[:, int(np.argmax(np.concatenate(scores)))]]])
 
 
 def _project(cols, v, dependent=_DEPENDENT):
-    """Amplitudes and offset of the least-squares fit of ``v`` by ``cols`` and a constant, and its residual.
+    """Amplitudes (k, ...) and offset of the least-squares fit of ``v`` by ``cols`` and a constant, and its residual.
 
-    ``cols`` holds one or two columns.  A column that keeps at most
-    ``dependent`` of its squared norm outside the offset and the earlier
-    column gets amplitude zero, so a pair of equal rates is the single
-    exponential.
+    ``cols`` (..., k, n) holds one or two columns, after any leading axes;
+    :func:`_solve` states which column it drops at ``dependent``.
     """
-    mean, v_mean = cols.mean(axis=1), v.mean()
-    centered, vc = cols - mean[:, None], v - v_mean
-    gram, b = centered @ centered.T, centered @ vc
-    share = np.diag(gram) / np.einsum("in,in->i", cols, cols)  # outside the offset
-    if len(b) == 2 and share[0] > dependent:  # and outside the first column
-        share[1] *= 1.0 - gram[0, 1] ** 2 / (gram[0, 0] * gram[1, 1])
-    keep = share > dependent
-    if keep.all():
-        alpha = np.linalg.solve(gram, b)
-    else:  # a column on its own, or none
-        alpha = np.divide(b, np.diag(gram), out=np.zeros(len(b)), where=keep)
-    return alpha, v_mean - mean @ alpha, vc - alpha @ centered
+    mean, v_mean = cols.sum(axis=-1) / len(v), v.sum() / len(v)
+    centered, vc = cols - mean[..., None], v - v_mean
+    gram, b = np.einsum("...in,...jn->ij...", centered, centered), np.einsum("...in,n->i...", centered, vc)
+    sq = np.einsum("...in,...in->i...", cols, cols)
+    alpha = _solve([gram[s, t] for s, t in _TRIANGLE[len(b)]], b, sq, dependent)[0]
+    return alpha, v_mean - np.einsum("i...,...i->...", alpha, mean), vc - np.einsum("i...,...in->...n", alpha, centered)
 
 
 def _jacobian(f, p, f0):
-    """Forward-difference Jacobian of ``f`` at ``p``, one column per parameter; ``f0`` is ``f(p)``."""
+    """Forward-difference Jacobian of ``f`` at ``p``, one row per parameter; ``f0`` is ``f(p)``.
+
+    ``f`` takes the displaced parameter vectors as one batch.
+    """
     h = (p + _STEP * np.maximum(np.abs(p), 1.0)) - p  # steps the sums represent exactly
-    return np.stack([(f(p + hj * ej) - f0) / hj for hj, ej in zip(h, np.eye(len(p)))], axis=-1)
+    return (f(p + np.diag(h)) - f0) / h[:, None]
 
 
 def _levenberg_marquardt(residual, q, model):
@@ -206,19 +242,23 @@ def _levenberg_marquardt(residual, q, model):
     while True:
         jac = _jacobian(residual, q, r)
         evals += len(q)
-        a, grad = jac.T @ jac, jac.T @ r
-        scale = np.diag(np.maximum(np.diag(a), np.finfo(float).eps * np.max(np.diag(a))))
+        a, grad, rr = np.einsum("in,jn->ij", jac, jac), np.einsum("in,n->i", jac, r), _dot(r, r)
+        diag = a.diagonal()
+        scale = np.diag(np.maximum(diag, np.finfo(float).eps * np.max(diag)))
         while True:
             if evals >= MAX_EVALS:
                 raise FitError(f"{model} fit did not converge: the limit of {MAX_EVALS} evaluations was reached")
             if not grad.any():  # no parameter moves the residual
                 return q, r
-            step = -np.linalg.solve(a + damping * scale, grad)
-            predicted = -(2.0 * grad + a @ step) @ step  # the reduction of |r|^2 the linear model predicts
-            last = np.linalg.norm(step) <= _XTOL * np.linalg.norm(q) or not predicted > _FTOL * (r @ r)
+            # the damped system is positive definite, so no parameter is dropped
+            m = a + damping * scale
+            step = -_solve([m[s, t] for s, t in _TRIANGLE[len(q)]], grad, diag, 0.0)[0]
+            # the reduction of |r|^2 the linear model predicts
+            predicted = -_dot(2.0 * grad + np.einsum("ij,j->i", a, step), step)
+            last = _dot(step, step) <= _XTOL**2 * _dot(q, q) or not predicted > _FTOL * rr
             trial = residual(q + step)
             evals += 1
-            if trial @ trial < r @ r:
+            if _dot(trial, trial) < rr:
                 break
             if last:
                 return q, r
@@ -287,8 +327,8 @@ def fit(trace, model: str) -> FitResult:
         if model == "biexponential" and _project(basis(q, u), v, _MERGED)[0][1] == 0.0:
             # the rates merged, where two columns tend to their sum and derivative with amplitudes
             # that grow without bound: fit the single exponential, as one rate taken twice
-            one, r_one = _levenberg_marquardt(lambda s: residual(np.repeat(s, 2)), q[:1], model)
-            ratio = np.linalg.norm(r_one) / np.linalg.norm(r)
+            one, r_one = _levenberg_marquardt(lambda s: residual(np.repeat(s, 2, axis=-1)), q[:1], model)
+            ratio = np.sqrt(_dot(r_one, r_one) / _dot(r, r))
             if ratio > _FALLBACK_RATIO:  # nearly equal rates, which one rate does not fit
                 raise FitError(
                     f"{model} fit found no two distinct rates, and one rate leaves {ratio:.3g} times the "
@@ -299,11 +339,18 @@ def fit(trace, model: str) -> FitResult:
 
     # Gauss-Newton covariance of (q, amplitudes, offset), carried to the named parameters
     theta, k = np.concatenate([q, alpha, [offset]]), len(q)
-    jac = _jacobian(lambda t: t[k:-1] @ basis(t[:k], u) + t[-1], theta, v - r)
-    cov = (r @ r) / max(len(u) - len(names), 1) * np.linalg.pinv(jac.T @ jac)
-    p = np.array(named(q, alpha, offset))
-    to_named = _jacobian(lambda t: np.array(named(t[:k], t[k:-1], t[-1])), theta, p)
-    popt, sigma = _canonical(model, p, np.sqrt(np.clip(np.diag(to_named @ cov @ to_named.T), 0.0, None)))
+
+    def model_of(t):
+        return np.einsum("...i,...in->...n", t[..., k:-1], basis(t[..., :k], u)) + t[..., -1:]
+
+    def named_of(t):
+        return np.stack(named(t[..., :k], t[..., k:-1], t[..., -1]), axis=-1)
+
+    jac, rr = _jacobian(model_of, theta, v - r), _dot(r, r)
+    cov = rr / max(len(u) - len(names), 1) * np.linalg.pinv(np.einsum("in,jn->ij", jac, jac))
+    p = named_of(theta)
+    to_named = _jacobian(named_of, theta, p)
+    popt, sigma = _canonical(model, p, np.sqrt(np.clip(np.einsum("ip,ij,jp->p", to_named, cov, to_named), 0, None)))
     scale, shift = _param_map(names, x0, xs, ys, dict(zip(names, popt)).get("frequency", 0.0) / xs)
     params = dict(zip(names, (scale * popt + shift).tolist()))
     uncert = dict(zip(names, (scale * sigma).tolist()))
@@ -311,7 +358,7 @@ def fit(trace, model: str) -> FitResult:
         for name in set(names) - _LINEAR:
             params[name] = uncert[name] = np.nan
     _add_time_constants(model, params, uncert)
-    return FitResult(model=model, parameters=params, uncertainties=uncert, residual_norm=float(np.linalg.norm(r)) * ys)
+    return FitResult(model=model, parameters=params, uncertainties=uncert, residual_norm=float(np.sqrt(rr)) * ys)
 
 
 def _canonical(model, p, sigma):
@@ -360,22 +407,3 @@ def _add_time_constants(model, params, uncert):
         tau_of("rate1", "tau_slow")
         tau_of("rate2", "tau_fast")
 
-
-def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a two-column trace CSV, skipping '#' metadata and the header."""
-    xs, ys = [], []
-    with open(path) as fh:
-        header_seen = False
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                header_seen = True  # single column-name line
-                continue
-            a, b = line.split(",")
-            xs.append(float(a))
-            ys.append(float(b))
-    if not xs:
-        raise FitError(f"no data rows in {path}")
-    return np.array(xs), np.array(ys)

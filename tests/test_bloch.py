@@ -403,6 +403,18 @@ class TestTrigSum:
         assert np.iscomplexobj(got) == np.iscomplexobj(c)
         assert np.max(np.abs(got - (direct if np.iscomplexobj(c) else direct.real))) <= 1e-13
 
+    @given(trig_sums())
+    def test_merged_members_give_the_same_sum(self, case):
+        """Merging keeps the sum, and doubling the frequencies doubles the merge, as the echo's harmonic 2 uses."""
+        t, f, c = case
+        merged, summed = bloch._merge(f, c)
+        assert np.all(np.diff(merged) > 0)
+        direct = (c * np.exp(1j * np.multiply.outer(t, f))).sum(axis=1)
+        got = bloch._trig_sum(t, merged, summed)
+        assert np.max(np.abs(got - (direct if np.iscomplexobj(c) else direct.real))) <= 1e-13
+        doubled, summed_again = bloch._merge(2.0 * f, c)
+        assert doubled.tobytes() == (2.0 * merged).tobytes() and summed_again.tobytes() == summed.tobytes()
+
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
     @pytest.mark.parametrize("elements", [None, 1], ids=["one-table", "chunked"])
     @given(trig_sums(max_phase=2e3))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import erspin_sim
 from erspin_sim import cli, experiments, fitting
 from erspin_sim.experiments import EXPERIMENT_NAMES
+from trace_csv import read_trace_csv
 
 FLOAT_MAX = "1.7976931348623157e308"
 
@@ -292,16 +293,22 @@ for experiment in cli.EXPERIMENT_NAMES:
     assert cli.main([experiment, "--out", sys.argv[1]]) == 0
 """
 
-# Bounds between OpenBLAS thread counts: about four to ten times the largest
+# Bounds between OpenBLAS thread counts: ten to thirty times the largest
 # differences measured on a 2-vCPU x86-64 host (README): absolute in a trace
 # value, relative in a fitted value and in a fitted sigma.
 TRACE_BOUND, VALUE_BOUND, SIGMA_BOUND = 2.2e-15, 7e-9, 5.5e-8
 # Bounds between OpenBLAS kernels, Haswell against the host's default
-# (SkylakeX there): five to seventeen times the largest differences measured
-# (README).  The sigmas and residual norm of an exact fit (holeburn) are
-# rounding noise, which moved by 8% relative; they must stay below ROUNDING of
-# their value (of 1 for a residual norm) instead.
+# (SkylakeX there): set at five to seventeen times the largest differences
+# measured before the fits went BLAS-free; the fitted-value bound is now 1.3
+# times the largest (README).  The sigmas and residual norm of an exact fit
+# (holeburn) are rounding noise, which moved by 8% relative then; they must
+# stay below ROUNDING of their value (of 1 for a residual norm) instead.
 CORE_BOUNDS, ROUNDING = (8.9e-15, 1.5e-9, 6.5e-8), 1e-12
+# The fits call no BLAS routine but the covariance's np.linalg.pinv, so these
+# artifacts keep their bytes under any thread count or kernel, and the holeburn
+# summary all but its two sigmas.
+BLAS_FREE = ("resonator_trace.csv", "resonator_summary.txt", "heating-budget_trace.csv", "heating-budget_summary.txt")
+PINV_KEYS = ("decay_time_sigma_s", "rise_time_sigma_s")
 
 
 def default_runs(out, threads, core=None):
@@ -346,6 +353,15 @@ def assert_close(one, two, trace_bound, value_bound, sigma_bound, rounding=0.0):
                 assert abs(a - b) <= bound * max(abs(a), abs(b)), (name, key, a, b)
 
 
+def assert_blas_free(one, two):
+    """The artifacts that no BLAS call reaches are byte-identical, as are all holeburn summary lines but the sigmas."""
+    for name in BLAS_FREE:
+        assert one[name] == two[name], name
+    a, b = ([row for row in run["holeburn_summary.txt"].splitlines() if row.split(" = ")[0] not in PINV_KEYS]
+            for run in (one, two))
+    assert a == b and len(a) == len(one["holeburn_summary.txt"].splitlines()) - len(PINV_KEYS)
+
+
 def openblas() -> bool:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -360,10 +376,12 @@ class TestThreadCounts:
         one, two, again = (default_runs(tmp_path / name, n) for name, n in (("one", 1), ("two", 2), ("again", 1)))
         assert one == again  # one thread count, identical bytes
         assert_close(one, two, TRACE_BOUND, VALUE_BOUND, SIGMA_BOUND)
+        assert_blas_free(one, two)
 
     def test_default_runs_agree_across_core_types(self, tmp_path):
         host, haswell = default_runs(tmp_path / "host", 1), default_runs(tmp_path / "haswell", 1, "Haswell")
         assert_close(host, haswell, *CORE_BOUNDS, rounding=ROUNDING)
+        assert_blas_free(host, haswell)
 
 
 class TestArtifacts:
@@ -411,13 +429,13 @@ class TestArtifacts:
             cli.main(["rabi", "--set", "trace_points=301", "--set", "n_samples=301", "--out", str(tmp_path)])
             == 0
         )
-        x, y = fitting.read_trace_csv(tmp_path / "rabi_trace.csv")
+        x, y = read_trace_csv(tmp_path / "rabi_trace.csv")
         res = fitting.fit((x, y), "sinusoid-decay")
         assert res.parameters["frequency"] == pytest.approx(14.9e6, rel=0.03)
 
     def test_profile_trace_reloads_too(self, tmp_path):
         assert cli.main(["pumping-efficiency", "--out", str(tmp_path)]) == 0
-        x, y = fitting.read_trace_csv(tmp_path / "pumping-efficiency_trace.csv")
+        x, y = read_trace_csv(tmp_path / "pumping-efficiency_trace.csv")
         assert len(x) > 100
         res = fitting.fit((x, y), "lorentzian")
         assert res.parameters["fwhm"] == pytest.approx(9e6, rel=0.08)
@@ -433,7 +451,7 @@ class TestArtifacts:
             out = tmp_path / name
             rc = cli.main([name, *fast_overrides.get(name, []), "--out", str(out)])
             assert rc == 0, name
-            x, y = fitting.read_trace_csv(out / f"{name}_trace.csv")
+            x, y = read_trace_csv(out / f"{name}_trace.csv")
             assert len(x) == len(y) > 0
             summary = read_summary(out / f"{name}_summary.txt")
             assert summary["experiment"] == name

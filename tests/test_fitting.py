@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import erspin_sim
@@ -260,3 +260,106 @@ class TestRecoversSyntheticParameters:
         assert p["center"] == pytest.approx(center * span, rel=1e-6)
         assert p["fwhm"] == pytest.approx(fwhm * span, rel=1e-6)
         assert p["amplitude"] == pytest.approx(a, rel=1e-6)
+
+
+def design(seed, k, n):
+    """``k`` random columns of ``n`` points, data of the same length, and the least-squares reference.
+
+    The reference comes from ``np.linalg.lstsq`` on the columns and a
+    constant; the draw is skipped unless that design is well conditioned.
+    """
+    rng = np.random.default_rng(seed)
+    cols, v = rng.standard_normal((k, n)) + rng.uniform(-2.0, 2.0, (k, 1)), rng.standard_normal(n)
+    a = np.column_stack([*cols, np.ones(n)])
+    assume(np.linalg.cond(a) < 1e3)
+    return cols, v, np.linalg.lstsq(a, v, rcond=None)[0]
+
+
+class TestClosedFormSolve:
+    """The closed-form normal equations behind every projection, seed and step."""
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2), n=st.integers(8, 300))
+    def test_matches_lstsq(self, seed, k, n):
+        cols, v, ref = design(seed, k, n)
+        alpha, offset, residual = fitting._project(cols, v)
+        got = np.append(alpha, offset)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        # the squared norm the amplitudes explain, as the seed ranks candidates by it
+        centered, vc = cols - cols.mean(axis=1)[:, None], v - v.mean()
+        g = [centered[s] @ centered[t] for s, t in fitting._TRIANGLE[k]]
+        explained = fitting._solve(g, centered @ vc, np.sum(cols**2, axis=1), fitting._DEPENDENT)[1]
+        assert explained == pytest.approx(vc @ vc - residual @ residual, rel=1e-10, abs=1e-10 * (vc @ vc))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_damped_step_matches_linalg_solve(self, seed):
+        """The Levenberg-Marquardt step: a positive definite 2 x 2 system, which drops nothing."""
+        jac = np.random.default_rng(seed).standard_normal((2, 40))
+        m, grad = jac @ jac.T + 1e-3 * np.eye(2), jac @ np.ones(40)
+        step = fitting._solve([m[s, t] for s, t in fitting._TRIANGLE[2]], grad, m.diagonal(), 0.0)[0]
+        assert step == pytest.approx(np.linalg.solve(m, grad), rel=1e-10, abs=1e-12 * np.abs(grad).max())
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 300))
+    def test_dependent_column_gets_amplitude_zero(self, seed, n):
+        cols, v, _ = design(seed, 1, n)
+        one, one_offset, _ = fitting._project(cols, v)
+        for pair in (np.concatenate([cols, cols]), np.concatenate([cols, 2.5 * cols + 1.0])):
+            alpha, offset, _ = fitting._project(pair, v)  # the second column adds nothing
+            assert alpha[1] == 0.0
+            assert alpha[0] == pytest.approx(one[0], rel=1e-12) and offset == pytest.approx(one_offset, rel=1e-12)
+        # a constant column lies in the offset, so the other column takes its place
+        alpha, offset, _ = fitting._project(np.concatenate([np.full((1, n), 3.0), cols]), v)
+        assert alpha[0] == 0.0
+        assert alpha[1] == pytest.approx(one[0], rel=1e-12) and offset == pytest.approx(one_offset, rel=1e-12)
+
+    @given(rate=st.floats(-5.0, 50.0), n=st.integers(8, 300))
+    def test_equal_rates_are_the_single_exponential(self, rate, n):
+        u = np.linspace(0.0, 1.0, n)
+        v = np.cos(7.0 * u)
+        alpha, offset, residual = fitting._project(fitting._exponentials(np.array([rate, rate]), u), v)
+        one, one_offset, one_residual = fitting._project(fitting._exponentials(np.array([rate]), u), v)
+        assert alpha[1] == 0.0 and alpha[0] == one[0] and offset == one_offset
+        assert np.array_equal(residual, one_residual)
+
+
+class TestBatchedJacobian:
+    @pytest.mark.parametrize("model", fitting.MODEL_NAMES)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 61, 201, 1201]))
+    def test_columns_equal_one_parameter_at_a_time(self, model, seed, n):
+        """Bitwise, for the search's residual and for the full model the covariance differentiates."""
+        basis = fitting._MODELS[model][1]
+        rng = np.random.default_rng(seed)
+        u, v = np.linspace(0.0, 1.0, n), rng.standard_normal(n)
+        q = rng.uniform(0.5, 30.0, 1 if model == "single-exponential" else 2)
+        alpha, offset, _ = fitting._project(basis(q, u), v)
+        k = len(q)
+
+        def residual(p):
+            return fitting._project(basis(p, u), v)[2]
+
+        def full_model(t):
+            return np.einsum("...i,...in->...n", t[..., k:-1], basis(t[..., :k], u)) + t[..., -1:]
+
+        for f, p in ((residual, q), (full_model, np.concatenate([q, alpha, [offset]]))):
+            f0 = f(p)
+            jac = fitting._jacobian(f, p, f0)
+            h = (p + fitting._STEP * np.maximum(np.abs(p), 1.0)) - p
+            for j in range(len(p)):
+                step = np.zeros(len(p))
+                step[j] = h[j]
+                assert np.array_equal(jac[j], (f(p + step) - f0) / h[j]), j
+
+
+class TestSeed:
+    @pytest.mark.parametrize("model", fitting.MODEL_NAMES)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_blocks_of_candidates_change_no_pick(self, model, seed):
+        """Blocks of about an eighth of the candidates, the last one short, pick bitwise what one block picks."""
+        _, basis, cands, fixed, _ = fitting._MODELS[model]
+        u = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 60)])
+        v = np.random.default_rng(seed).standard_normal(len(u))
+        picks = []
+        for block in (cands.shape[1] // 8 + 1, cands.shape[1]):
+            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                mp.setattr(fitting, "_BLOCK", block)
+                picks.append(fitting._seed(basis, cands, fixed(u, v), u, v).tobytes())
+        assert picks[0] == picks[1]

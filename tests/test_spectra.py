@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from erspin_sim import pumping, spectra
-from erspin_sim.fitting import read_trace_csv
+from trace_csv import read_trace_csv
 
 
 class TestLineValue:
