@@ -44,7 +44,7 @@ import numpy as np
 
 MAX_EVALS = 1000  # residual evaluations a search may take before it counts as not converged
 _STEP = np.sqrt(np.finfo(float).eps)  # forward-difference step, relative to max(|p|, 1)
-_XTOL = 1e-8  # a search ends at a step below this share of |q|,
+_XTOL = 1e-8  # a search ends at a step below this share of max(|q_i|, 1) in every parameter,
 _FTOL = 1e-15  # or at one whose predicted reduction is below this share of the squared residual
 
 
@@ -234,9 +234,9 @@ def _levenberg_marquardt(residual, q, model):
     """Minimize the squared norm of ``residual(q)`` from ``q``; return the optimum and its residual.
 
     The damping scales the diagonal of J^T J (Marquardt).  The search ends
-    after a step below ``_XTOL`` of |q|, or one whose predicted reduction
-    is below ``_FTOL`` of the squared residual; such a step is still taken
-    where it lowers the residual.
+    after a step below ``_XTOL`` of max(|q_i|, 1) in every parameter, or one
+    whose predicted reduction is below ``_FTOL`` of the squared residual;
+    such a step is still taken where it lowers the residual.
     """
     r, evals, damping = residual(q), 1, 1e-3
     while True:
@@ -255,7 +255,7 @@ def _levenberg_marquardt(residual, q, model):
             step = -_solve([m[s, t] for s, t in _TRIANGLE[len(q)]], grad, diag, 0.0)[0]
             # the reduction of |r|^2 the linear model predicts
             predicted = -_dot(2.0 * grad + np.einsum("ij,j->i", a, step), step)
-            last = _dot(step, step) <= _XTOL**2 * _dot(q, q) or not predicted > _FTOL * rr
+            last = np.all(np.abs(step) <= _XTOL * np.maximum(np.abs(q), 1.0)) or not predicted > _FTOL * rr
             trial = residual(q + step)
             evals += 1
             if _dot(trial, trial) < rr:

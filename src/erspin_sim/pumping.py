@@ -95,16 +95,6 @@ class FourLevelState:
     def as_array(self) -> np.ndarray:
         return np.array(self.populations)
 
-    @property
-    def ground_polarization(self) -> float:
-        """(p_g_low - p_g_up) / (p_g_low + p_g_up)."""
-        lo, up = self.populations[0], self.populations[1]
-        return (lo - up) / (lo + up)
-
-    @property
-    def excited_total(self) -> float:
-        return self.populations[2] + self.populations[3]
-
 
 def _boltzmann_ratio(rp: RateParams) -> float:
     """exp(-h nu / k T), the equilibrium upper/lower ground occupation ratio."""
@@ -242,21 +232,6 @@ def antihole_trace(rp: RateParams, burn_duration: float, wait_grid) -> tuple[np.
     # free evolution keeps the thermal state (detailed balance), so it acts on the excess alone
     free = expm(rate_generator(rp.pumps_off()) * waits[:, None, None])  # one call for every wait
     return waits, (free @ excess)[:, 0]
-
-
-def pumping_efficiency(rp: RateParams, burn_duration: float, baseline: str = "thermal") -> float:
-    """Fraction of population transferred into the target state g_low.
-
-    Evaluated immediately after a burn of ``burn_duration`` seconds from
-    thermal equilibrium.  ``baseline="thermal"`` normalizes as
-    ``(p_target - p_thermal) / (1 - p_thermal)``; ``baseline="unpolarized"``
-    uses 1/2 as the reference instead.  Both normalizations are reported by
-    the pumping-efficiency experiment since the convention matters.
-    """
-    if burn_duration <= 0:
-        raise ValueError("burn_duration must be > 0")
-    thermal = thermal_state(rp)
-    return transfer_efficiency(evolve(thermal, rp, burn_duration), thermal, baseline)
 
 
 def transfer_efficiency(burned: FourLevelState, thermal: FourLevelState, baseline: str = "thermal") -> float:

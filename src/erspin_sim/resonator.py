@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import AmplitudeSpread
 from .constants import BOHR_MAGNETON, HBAR
 from .geometry import GROUND_CONFIG, PRESET_RABI_HZ, PRESET_SPLITTING_HZ, preset_g_factors
 
@@ -61,21 +60,6 @@ class HeatingModel:
     def __post_init__(self):
         if self.slope <= 0 or self.max_delta_t <= 0:
             raise ValueError("slope and max_delta_t must be > 0")
-
-
-@dataclass(frozen=True)
-class FieldHomogeneity:
-    """Peak-to-peak relative MW field variation over the probed volume.
-
-    The probed 0.2 x 0.2 x 0.5 mm^3 sits within the resonator's
-    (0.5 mm)^3 homogeneous region.
-    """
-
-    relative_variation: float = 0.02
-
-    def __post_init__(self):
-        if not 0.0 <= self.relative_variation < 1.0:
-            raise ValueError("relative_variation must be within [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -151,12 +135,3 @@ def heating_budget(
     return HeatingReport(
         delta_t=delta_t, ok=delta_t <= hm.max_delta_t, max_rep_rate=max_rate, average_power=avg
     )
-
-
-def rabi_spread_from_homogeneity(fh: FieldHomogeneity) -> AmplitudeSpread:
-    """Uniform relative Rabi-amplitude distribution for the ensemble.
-
-    A peak-to-peak field variation v maps to amplitudes uniform on
-    [1 - v/2, 1 + v/2]; feeds :class:`erspin_sim.bloch.EnsembleSpec`.
-    """
-    return AmplitudeSpread(half_width=fh.relative_variation / 2.0)

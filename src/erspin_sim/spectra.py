@@ -1,4 +1,4 @@
-"""Inhomogeneous line shapes, hole/antihole spectra and transmission readout.
+"""Inhomogeneous line shapes, hole/antihole spectra and their readout.
 
 Frequencies are in Hz, absorption profiles are dimensionless optical depth
 per pass.  The spin transition is Lorentzian by default (9 MHz full width
@@ -237,8 +237,3 @@ def excited_readout_contrast(
         return 0.0
     depth_after = g * rm.baseline_absorption
     return float((depth_before - depth_after) / depth_before)
-
-
-def transmission(profile: SpectrumProfile) -> np.ndarray:
-    """Beer-Lambert transmittance ``T(f) = exp(-alpha(f))``."""
-    return np.exp(-profile.alpha)

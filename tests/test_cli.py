@@ -299,11 +299,12 @@ for experiment in cli.EXPERIMENT_NAMES:
 TRACE_BOUND, VALUE_BOUND, SIGMA_BOUND = 2.2e-15, 7e-9, 5.5e-8
 # Bounds between OpenBLAS kernels, Haswell against the host's default
 # (SkylakeX there): set at five to seventeen times the largest differences
-# measured before the fits went BLAS-free; the fitted-value bound is now 1.3
-# times the largest (README).  The sigmas and residual norm of an exact fit
+# measured before the fits went BLAS-free; the fitted-value bound is 1.5
+# times the largest (4.0e-10, `t2_fit_s`) since the fit search tests its step
+# per parameter (README).  The sigmas and residual norm of an exact fit
 # (holeburn) are rounding noise, which moved by 8% relative then; they must
 # stay below ROUNDING of their value (of 1 for a residual norm) instead.
-CORE_BOUNDS, ROUNDING = (8.9e-15, 1.5e-9, 6.5e-8), 1e-12
+CORE_BOUNDS, ROUNDING = (8.9e-15, 6e-10, 6.5e-8), 1e-12
 # The fits call no BLAS routine but the covariance's np.linalg.pinv, so these
 # artifacts keep their bytes under any thread count or kernel, and the holeburn
 # summary all but its two sigmas.

@@ -49,7 +49,8 @@ class TestGenerator:
         state = pumping.evolve(pumping.FourLevelState((1.0, 0.0, 0.0, 0.0)), rp, 5.0)
         expected = math.tanh(PLANCK * 3.12e9 / (2.0 * BOLTZMANN * 0.8))
         assert expected == pytest.approx(0.0932, abs=2e-4)
-        assert state.ground_polarization == pytest.approx(expected, abs=1e-9)
+        lo, up = state.populations[:2]
+        assert (lo - up) / (lo + up) == pytest.approx(expected, abs=1e-9)
 
     def test_thermal_state_when_kt_underflows(self):
         # k T is 0 in float64 below about 1e-300 K: the T -> 0 limit
@@ -113,7 +114,7 @@ class TestEvolve:
         start = pumping.FourLevelState((0.0, 0.0, 1.0, 0.0))
         for t in (1e-3, 5e-3, 20e-3, 50e-3):
             s = pumping.evolve(start, rp, t)
-            assert s.excited_total == pytest.approx(math.exp(-t / 11e-3), rel=1e-9)
+            assert s.populations[2] + s.populations[3] == pytest.approx(math.exp(-t / 11e-3), rel=1e-9)
 
     def test_conservation_and_positivity_along_trajectory(self):
         rp = pumping.RateParams(pump_rate_flip=2000.0)
@@ -273,38 +274,44 @@ class TestAntiholeTrace:
             pumping.antihole_trace(rp, 0.0, [0.0])
 
 
+def burn_efficiency(rp, burn_duration, baseline="thermal"):
+    """The normalized transfer into g_low after a burn from thermal equilibrium, as the experiment computes it."""
+    thermal = pumping.thermal_state(rp)
+    return pumping.transfer_efficiency(pumping.evolve(thermal, rp, burn_duration), thermal, baseline)
+
+
 class TestPumpingEfficiency:
     def test_lossless_limit_reaches_one(self):
         rp = pumping.RateParams(
             t1_spin=1e6, branch_same=1.0, pump_rate_flip=1e6, temperature=math.inf
         )
-        eff = pumping.pumping_efficiency(rp, 10.0)
+        eff = burn_efficiency(rp, 10.0)
         assert eff == pytest.approx(1.0, abs=1e-6)
 
     def test_no_pump_gives_zero(self):
-        assert pumping.pumping_efficiency(pumping.RateParams(), 0.1) == pytest.approx(0.0, abs=1e-12)
+        assert burn_efficiency(pumping.RateParams(), 0.1) == pytest.approx(0.0, abs=1e-12)
 
     def test_undefined_when_thermal_state_is_all_target(self):
         # k T underflows, so the thermal state is (1, 0, 0, 0)
-        assert math.isnan(pumping.pumping_efficiency(pumping.RateParams(temperature=5e-324), 0.1))
+        assert math.isnan(burn_efficiency(pumping.RateParams(temperature=5e-324), 0.1))
 
     def test_default_burn_is_partial(self):
-        eff = pumping.pumping_efficiency(pumping.RateParams(pump_rate_flip=2000.0), 0.1)
+        eff = burn_efficiency(pumping.RateParams(pump_rate_flip=2000.0), 0.1)
         assert 0.0 < eff < 1.0
 
     def test_baselines_differ(self):
         rp = pumping.RateParams(pump_rate_flip=2000.0)
-        thermal = pumping.pumping_efficiency(rp, 0.1, baseline="thermal")
-        unpol = pumping.pumping_efficiency(rp, 0.1, baseline="unpolarized")
+        thermal = burn_efficiency(rp, 0.1, baseline="thermal")
+        unpol = burn_efficiency(rp, 0.1, baseline="unpolarized")
         assert unpol > thermal  # thermal baseline already leans toward the target
         with pytest.raises(ValueError):
-            pumping.pumping_efficiency(rp, 0.1, baseline="vacuum")
+            burn_efficiency(rp, 0.1, baseline="vacuum")
 
     def test_stimulated_pumping_caps_transfer(self):
         # with symmetric stimulated rates the parked excited population and
         # spin back-relaxation bound the normalized transfer well below 1
         rp = pumping.RateParams(branch_same=1.0, pump_rate_flip=1e6)
-        eff = pumping.pumping_efficiency(rp, 0.5)
+        eff = burn_efficiency(rp, 0.5)
         assert 0.6 < eff < 0.7
 
 

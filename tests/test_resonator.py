@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from erspin_sim import bloch, geometry, resonator
+from erspin_sim import bloch, resonator
+from erspin_sim.constants import BOHR_MAGNETON, HBAR
 
 
 def default_resonator():
@@ -53,7 +54,7 @@ class TestFieldFromPower:
         rp = default_resonator()
         b1 = resonator.field_from_power(rp, 100.0)
         assert b1 == pytest.approx(1.33e-3, abs=0.01e-3)
-        omega = geometry.rabi_frequency(1.6, b1)
+        omega = 1.6 * BOHR_MAGNETON * b1 / (2.0 * HBAR)  # Omega = g_mw mu_B B1 / (2 hbar)
         assert omega == pytest.approx(2.0 * math.pi * 14.9e6, rel=1e-12)
 
     def test_sqrt_power_scaling(self):
@@ -122,22 +123,12 @@ class TestHeatingBudget:
 
 
 class TestFieldHomogeneity:
-    def test_zero_variation_is_delta(self):
-        spread = resonator.rabi_spread_from_homogeneity(resonator.FieldHomogeneity(0.0))
-        assert spread.half_width == 0.0
-
-    def test_two_percent_peak_to_peak(self):
-        spread = resonator.rabi_spread_from_homogeneity(resonator.FieldHomogeneity())
-        assert spread.half_width == pytest.approx(0.01)
-
     def test_fidelity_penalty_below_1e3(self):
-        spread = resonator.rabi_spread_from_homogeneity(resonator.FieldHomogeneity())
-        fid = bloch.pi_fidelity_center(2.0 * math.pi * 14.9e6, spread)
+        # a 2% peak-to-peak field variation: Rabi amplitudes uniform within +-1%
+        fid = bloch.pi_fidelity_center(2.0 * math.pi * 14.9e6, bloch.AmplitudeSpread(0.01))
         assert 1.0 - fid <= 1e-3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            resonator.FieldHomogeneity(relative_variation=1.0)
         with pytest.raises(ValueError):
             resonator.ResonatorParams(conversion=0.0)
         with pytest.raises(ValueError):

@@ -124,7 +124,8 @@ class TestHoleAreaRatio:
 
     def test_pipeline_matches_simulated_efficiency(self):
         rp = pumping.RateParams(pump_rate_flip=2000.0)
-        eff = pumping.pumping_efficiency(rp, 0.1)
+        thermal = pumping.thermal_state(rp)
+        eff = pumping.transfer_efficiency(pumping.evolve(thermal, rp, 0.1), thermal)
         unit_hole = spectra.antihole_spectrum(self.line, -1.0, self.rm)
         anti = spectra.antihole_spectrum(self.line, eff, self.rm)
         assert spectra.hole_area_ratio(unit_hole, anti) == pytest.approx(eff, rel=0.02)
@@ -179,22 +180,6 @@ class TestExcitedReadoutContrast:
             spectra.excited_readout_contrast(1.2, 0.3, self.rm)
         with pytest.raises(ValueError):
             spectra.excited_readout_contrast(0.2, -0.1, self.rm)
-
-
-class TestTransmission:
-    def test_values(self):
-        prof = spectra.SpectrumProfile(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.04, -0.02]))
-        t = spectra.transmission(prof)
-        assert t[0] == 1.0
-        assert t[1] == pytest.approx(math.exp(-0.04), rel=1e-15)
-        assert t[1] == pytest.approx(0.9608, abs=1e-4)
-        assert t[2] == pytest.approx(math.exp(0.02), rel=1e-15)
-
-    def test_small_alpha_linearization(self):
-        alpha = np.linspace(1e-4, 0.05, 40)
-        prof = spectra.SpectrumProfile(np.arange(40, dtype=float), alpha)
-        t = spectra.transmission(prof)
-        assert np.max(np.abs((1.0 - t) - alpha)) <= 0.01
 
 
 class TestSpectrumProfile:
