@@ -11,25 +11,31 @@ In the decays x counts from the first sample x[0], so an amplitude is the
 decaying part at x[0], not at x = 0.
 
 Each model is linear in its amplitudes and offset once at most two
-parameters are fixed: the rate, both rates, the frequency and decay rate,
-or the center and inverse width.  So every fit is a variable projection
-(Golub and Pereyra, SIAM J. Numer. Anal. 10, 1973; O'Leary and Rust,
-Comput. Optim. Appl. 54, 2013) on data rescaled to order unity: each
-evaluation solves the centered normal equations of its one or two columns
-in closed form (:func:`_solve`), and the search runs over the nonlinear
-parameters alone.  It starts from the least residual on a log grid of rates
-(each pair of rates for the biexponential; inverse widths for the
-Lorentzian), every candidate going through the same closed form, a block
-of them per call, with the sinusoid frequency at the discrete spectrum
-peak and the Lorentzian center at the point farthest from the median.  A
-Levenberg-Marquardt search refines it.  Each basis takes a leading batch
-axis of parameter vectors, so a forward-difference Jacobian is one batched
-evaluation, and the 1- or 2-parameter step is in closed form too.  A search
-that needs more than :data:`MAX_EVALS` evaluations raises :class:`FitError`.
-The engine needs numpy alone, and identical inputs give bit-identical
-results.  Its sums are einsum calls, not BLAS ones, so the BLAS thread count
-and kernel change no fitted value of a given trace; only the covariance's
-pseudo-inverse, which the sigmas read, calls BLAS.
+parameters are fixed: the rate, the mean and product of the two rates, the
+frequency and decay rate, or the center and inverse width.  So every fit is
+a variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 1973;
+O'Leary and Rust, Comput. Optim. Appl. 54, 2013) on data rescaled to order
+unity: each evaluation solves the centered normal equations of its one or
+two columns in closed form (:func:`_solve`), and the search runs over the
+nonlinear parameters alone.  It starts from the least residual on a log
+grid of rates (each pair of rates for the biexponential; inverse widths for
+the Lorentzian), every candidate going through the same closed form, a
+block of them per call, with the sinusoid frequency at the discrete
+spectrum peak and the Lorentzian center at the point farthest from the
+median.  A Levenberg-Marquardt search refines it.  The biexponential's
+columns are its two exponentials' mean and first divided difference,
+e^(-mu) cosh(du) and e^(-mu) sinh(du)/d for rates m -+ d, which stay two
+columns as the rates merge (Hochbruck and Ostermann, Acta Numerica 19,
+2010, for phi1 and the divided differences of the exponential); the seed's
+pair of rates maps to their mean and product, and one search covers
+distinct, merged and nearly merged rates alike.  Each basis takes a leading
+batch axis of parameter vectors, so a forward-difference Jacobian is one
+batched evaluation, and the 1- or 2-parameter step is in closed form too.
+A search that needs more than :data:`MAX_EVALS` evaluations raises
+:class:`FitError`.  The engine needs numpy alone, and identical inputs give
+bit-identical results.  Its sums are einsum calls, not BLAS ones, so the
+BLAS thread count and kernel change no fitted value of a given trace; only
+the covariance's pseudo-inverse, which the sigmas read, calls BLAS.
 
 One-sigma uncertainties are the Gauss-Newton covariance built from a
 forward-difference Jacobian of the full model at the optimum; they are zero
@@ -74,6 +80,35 @@ def _exponentials(q, u):
     return np.exp(-q[..., None] * u)
 
 
+def _mean_and_product(q, u):
+    """Two columns spanning e^(-(m -+ d)u), d = sqrt(m^2 - p), for q = (m, p): two rates' mean and product.
+
+    They are e^(-mu) cosh(du) and e^(-mu) sinh(du)/d, the mean and the
+    first divided difference of the pair, entire in p: through the merge
+    d = 0 they tend to e^(-mu) and u e^(-mu), and past it, p > m^2, they are
+    e^(-mu) cos(|d|u) and e^(-mu) sin(|d|u)/|d|.  One complex path gives
+    every case: with e = e^(-(m + d)u) the second column is e u phi1(2du),
+    phi1(z) = expm1(z)/z, and the first e + d times it.  d is taken with
+    Re d <= 0, so that phi1 stays bounded.
+    """
+    m = q[..., :1, None]
+    d = -np.sqrt(m**2 - q[..., 1:, None] + 0j)
+    e = np.exp(-(m + d) * u)
+    s = e * np.where(d == 0, u, np.expm1(2.0 * d * u) / np.where(d == 0, 1.0, 2.0 * d))
+    return np.concatenate([(e + d * s).real, s.real], axis=-2)
+
+
+def _rates_of(q, a, c):
+    """amp1, rate1 (the slower), amp2, rate2 and offset from the amplitudes ``a`` of :func:`_mean_and_product`.
+
+    The rates are m -+ d.  Where they merge or oscillate, p >= m^2, both
+    are m and the amplitudes, which the pair no longer separates, nan.
+    """
+    m, d = q[..., 0], np.sqrt(np.maximum(q[..., 0] ** 2 - q[..., 1], 0.0))
+    split = np.where(d > 0, a[..., 1] / np.where(d > 0, d, 1.0), np.nan)  # sinh(du)/d splits into +-e^(-+du)/2d
+    return [(a[..., 0] + split) / 2.0, m - d, (a[..., 0] - split) / 2.0, m + d, c]
+
+
 def _damped_cosines(q, u):
     """Cosine columns at frequency q[..., 0], one per decay rate in q[..., 1:], then the sine columns."""
     decay, phase = np.exp(-q[..., 1:, None] * u), 2.0 * np.pi * q[..., :1, None] * u
@@ -92,6 +127,12 @@ def _spectrum_peak(u, v):
     return [(1 + int(np.argmax(np.abs(np.fft.rfft(v - v.sum() / len(v))[1:])))) * (len(u) - 1) / len(u)]
 
 
+def _pair_seed(u, v):
+    """The mean and product of the grid's best pair of rates, whose exponentials span the same columns."""
+    r = _seed(_exponentials, _PAIRS, [], u, v)
+    return np.array([(r[0] + r[1]) / 2.0, r[0] * r[1]])
+
+
 # Grid points per scanned parameter, chosen on the holeburn and sign-change
 # sweeps (CHANGES.md): a pair of rates needs a finer grid, or a pair
 # bracketing the fast rate fits better than the true pair when the slow
@@ -99,35 +140,28 @@ def _spectrum_peak(u, v):
 _SINGLES = np.arange(16)[None]
 _PAIRS = np.array(np.triu_indices(128, 1))  # the biexponential's candidates: rates i < j
 _DEPENDENT = 1e-9  # least share of a column's squared norm outside the offset and the earlier columns
-_MERGED = 1e-6  # a biexponential whose second column keeps less than this share fits as the single exponential
-# The most a one-rate fallback's residual norm may exceed that of the merged two-rate optimum it replaces.
-# On 2,260 holeburn sweep runs the 31 correct fallbacks (a negligible fast amplitude) left at most 1.55 times
-# it, and the 849 more than 10% off (near-equal lifetimes: the trace is not one exponential) at least 7.6.
-_FALLBACK_RATIO = 3.0
 _TRIANGLE = {1: ((0, 0),), 2: ((0, 0), (0, 1), (1, 1))}  # the upper triangle of a 1 x 1 or 2 x 2 matrix
 # Seed candidates solved per call.  Their arrays stay at 8 KiB, so a seed leaves glibc no heap top to trim
 # and fault back in on the next one: all 8,128 biexponential pairs at once cost 222 minor faults per seed.
 _BLOCK = 1024
 
-# name: (parameter names, basis, grid indices of each candidate's scanned
-# parameters, the fixed start of q, parameters from (q, amplitudes, offset),
-# each over the leading axes of q (..., p) and the amplitudes (..., k))
+# name: (parameter names, basis, the search's start q from (u, v),
+# parameters from (q, amplitudes, offset), each over the leading axes of
+# q (..., p) and the amplitudes (..., k))
 _MODELS = {
     "single-exponential": (
-        ("amplitude", "rate", "offset"), _exponentials, _SINGLES, lambda u, v: [],
+        ("amplitude", "rate", "offset"), _exponentials, lambda u, v: _seed(_exponentials, _SINGLES, [], u, v),
         lambda q, a, c: [a[..., 0], q[..., 0], c],
     ),
-    "biexponential": (
-        ("amp1", "rate1", "amp2", "rate2", "offset"), _exponentials, _PAIRS, lambda u, v: [],
-        lambda q, a, c: [a[..., 0], q[..., 0], a[..., 1], q[..., 1], c],
-    ),
+    "biexponential": (("amp1", "rate1", "amp2", "rate2", "offset"), _mean_and_product, _pair_seed, _rates_of),
     "sinusoid-decay": (  # a cos(t + phi) = a cos(phi) cos(t) - a sin(phi) sin(t)
-        ("amplitude", "frequency", "phase", "decay_rate", "offset"), _damped_cosines, _SINGLES, _spectrum_peak,
+        ("amplitude", "frequency", "phase", "decay_rate", "offset"), _damped_cosines,
+        lambda u, v: _seed(_damped_cosines, _SINGLES, _spectrum_peak(u, v), u, v),
         lambda q, a, c: [np.hypot(a[..., 0], a[..., 1]), q[..., 0], np.arctan2(-a[..., 1], a[..., 0]), q[..., 1], c],
     ),
     "lorentzian": (
-        ("amplitude", "center", "fwhm", "offset"), _lorentzians, _SINGLES,
-        lambda u, v: [u[np.argmax(np.abs(v - np.median(v)))]],
+        ("amplitude", "center", "fwhm", "offset"), _lorentzians,
+        lambda u, v: _seed(_lorentzians, _SINGLES, [u[np.argmax(np.abs(v - np.median(v)))]], u, v),
         lambda q, a, c: [a[..., 0], q[..., 0], 1.0 / q[..., 1], c],
     ),
 }
@@ -207,17 +241,17 @@ def _seed(basis, cands, fixed, u, v):
     return np.concatenate([fixed, g[cands[:, int(np.argmax(np.concatenate(scores)))]]])
 
 
-def _project(cols, v, dependent=_DEPENDENT):
+def _project(cols, v):
     """Amplitudes (k, ...) and offset of the least-squares fit of ``v`` by ``cols`` and a constant, and its residual.
 
     ``cols`` (..., k, n) holds one or two columns, after any leading axes;
-    :func:`_solve` states which column it drops at ``dependent``.
+    :func:`_solve` states which column it drops at :data:`_DEPENDENT`.
     """
     mean, v_mean = cols.sum(axis=-1) / len(v), v.sum() / len(v)
     centered, vc = cols - mean[..., None], v - v_mean
     gram, b = np.einsum("...in,...jn->ij...", centered, centered), np.einsum("...in,n->i...", centered, vc)
     sq = np.einsum("...in,...in->i...", cols, cols)
-    alpha = _solve([gram[s, t] for s, t in _TRIANGLE[len(b)]], b, sq, dependent)[0]
+    alpha = _solve([gram[s, t] for s, t in _TRIANGLE[len(b)]], b, sq, _DEPENDENT)[0]
     return alpha, v_mean - np.einsum("i...,...i->...", alpha, mean), vc - np.einsum("i...,...in->...n", alpha, centered)
 
 
@@ -234,9 +268,12 @@ def _levenberg_marquardt(residual, q, model):
     """Minimize the squared norm of ``residual(q)`` from ``q``; return the optimum and its residual.
 
     The damping scales the diagonal of J^T J (Marquardt).  The search ends
-    after a step below ``_XTOL`` of max(|q_i|, 1) in every parameter, or one
-    whose predicted reduction is below ``_FTOL`` of the squared residual;
-    such a step is still taken where it lowers the residual.
+    at a step whose predicted reduction is below ``_FTOL`` of the squared
+    residual, or that is below ``_XTOL`` of max(|q_i|, 1) in every
+    parameter; such a step is still taken where it lowers the residual.
+    For a step it takes, the size that counts is the undamped (Gauss-Newton)
+    step's: along a narrow valley the damping alone keeps steps that small,
+    as near merged biexponential rates.
     """
     r, evals, damping = residual(q), 1, 1e-3
     while True:
@@ -245,6 +282,7 @@ def _levenberg_marquardt(residual, q, model):
         a, grad, rr = np.einsum("in,jn->ij", jac, jac), np.einsum("in,n->i", jac, r), _dot(r, r)
         diag = a.diagonal()
         scale = np.diag(np.maximum(diag, np.finfo(float).eps * np.max(diag)))
+        tol = _XTOL * np.maximum(np.abs(q), 1.0)
         while True:
             if evals >= MAX_EVALS:
                 raise FitError(f"{model} fit did not converge: the limit of {MAX_EVALS} evaluations was reached")
@@ -254,17 +292,16 @@ def _levenberg_marquardt(residual, q, model):
             m = a + damping * scale
             step = -_solve([m[s, t] for s, t in _TRIANGLE[len(q)]], grad, diag, 0.0)[0]
             # the reduction of |r|^2 the linear model predicts
-            predicted = -_dot(2.0 * grad + np.einsum("ij,j->i", a, step), step)
-            last = np.all(np.abs(step) <= _XTOL * np.maximum(np.abs(q), 1.0)) or not predicted > _FTOL * rr
+            flat = not -_dot(2.0 * grad + np.einsum("ij,j->i", a, step), step) > _FTOL * rr
             trial = residual(q + step)
             evals += 1
             if _dot(trial, trial) < rr:
                 break
-            if last:
+            if flat or np.all(np.abs(step) <= tol):
                 return q, r
             damping *= 10.0
         q, r, damping = q + step, trial, max(damping / 10.0, 1e-12)
-        if last:
+        if flat or np.all(np.abs(_solve([a[s, t] for s, t in _TRIANGLE[len(q)]], grad, diag, 0.0)[0]) <= tol):
             return q, r
 
 
@@ -290,16 +327,26 @@ def fit(trace, model: str) -> FitResult:
     Exponential models report time constants ``tau`` (and
     ``tau_slow``/``tau_fast``, sorted) alongside the raw rates, which keep
     their signs; a rate <= 0, a trace that does not decay, has tau = inf.
+
+    The biexponential is searched over the mean m and product p of its
+    rates, rate1 = m - d <= rate2 = m + d with d = sqrt(m^2 - p), so rates
+    that merge need no other search.  As they merge amp1 and amp2 grow
+    apart without bound; at d = 0 the model is (a + b t) e^(-m t) + c with
+    t = x - x[0], and both rates are m, with finite sigmas, while amp1 and
+    amp2 and their sigmas are nan.  A trace that a damped oscillation,
+    e^(-m t) times a cosine and a sine, fits better than any two real rates
+    ends at p > m^2 and is reported the same way: both rates m, the
+    envelope's, and nan amplitudes.
+
     Constant input is degenerate for every model; it yields zero
     amplitudes and the offset, with every other parameter and its sigma nan
     (so tau is inf), rather than an error.  Raises :class:`FitError`
     for non-finite data, too few points, x values that are all equal, an
-    unknown model, a search that did not converge, or a biexponential whose
-    rates merge on a trace that one rate fits far worse than the merged pair.
+    unknown model, or a search that did not converge.
     """
     if model not in _MODELS:
         raise FitError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-    names, basis, cands, fixed, named = _MODELS[model]
+    names, basis, seed, named = _MODELS[model]
     x, y = _as_xy(trace)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise FitError("trace contains non-finite values")
@@ -323,18 +370,7 @@ def fit(trace, model: str) -> FitResult:
         return _project(basis(q, u), v)[2]
 
     with np.errstate(all="ignore"):  # a step into overflow or 0/0 is not taken
-        q, r = _levenberg_marquardt(residual, _seed(basis, cands, fixed(u, v), u, v), model)
-        if model == "biexponential" and _project(basis(q, u), v, _MERGED)[0][1] == 0.0:
-            # the rates merged, where two columns tend to their sum and derivative with amplitudes
-            # that grow without bound: fit the single exponential, as one rate taken twice
-            one, r_one = _levenberg_marquardt(lambda s: residual(np.repeat(s, 2, axis=-1)), q[:1], model)
-            ratio = np.sqrt(_dot(r_one, r_one) / _dot(r, r))
-            if ratio > _FALLBACK_RATIO:  # nearly equal rates, which one rate does not fit
-                raise FitError(
-                    f"{model} fit found no two distinct rates, and one rate leaves {ratio:.3g} times the "
-                    "residual of the merged pair"
-                )
-            q, r = np.repeat(one, 2), r_one
+        q, r = _levenberg_marquardt(residual, seed(u, v), model)
         alpha, offset, _ = _project(basis(q, u), v)
 
     # Gauss-Newton covariance of (q, amplitudes, offset), carried to the named parameters
@@ -350,7 +386,7 @@ def fit(trace, model: str) -> FitResult:
     cov = rr / max(len(u) - len(names), 1) * np.linalg.pinv(np.einsum("in,jn->ij", jac, jac))
     p = named_of(theta)
     to_named = _jacobian(named_of, theta, p)
-    popt, sigma = _canonical(model, p, np.sqrt(np.clip(np.einsum("ip,ij,jp->p", to_named, cov, to_named), 0, None)))
+    popt, sigma = _canonical(model, p), np.sqrt(np.clip(np.einsum("ip,ij,jp->p", to_named, cov, to_named), 0, None))
     scale, shift = _param_map(names, x0, xs, ys, dict(zip(names, popt)).get("frequency", 0.0) / xs)
     params = dict(zip(names, (scale * popt + shift).tolist()))
     uncert = dict(zip(names, (scale * sigma).tolist()))
@@ -361,25 +397,20 @@ def fit(trace, model: str) -> FitResult:
     return FitResult(model=model, parameters=params, uncertainties=uncert, residual_norm=float(np.sqrt(rr)) * ys)
 
 
-def _canonical(model, p, sigma):
-    """Fold the symmetries: frequency and Lorentzian width non-negative, biexponential sorted slow-first.
+def _canonical(model, p):
+    """Fold the symmetries: frequency and Lorentzian width non-negative.
 
     Rates keep their signs, since the bases take them signed: a negative
-    rate is a growing trace.  ``sigma`` (uncertainties of ``p``) is
-    reordered along with ``p``.
+    rate is a growing trace.
     """
     p = np.array(p, dtype=float)
     if model == "sinusoid-decay":
         if p[1] < 0:  # cos(-2 pi f u + phi) = cos(2 pi f u - phi)
             p[1], p[2] = -p[1], -p[2]
         p[2] = float(np.remainder(p[2] + np.pi, 2.0 * np.pi) - np.pi)
-    elif model == "biexponential":
-        if p[1] > p[3]:  # rate1 must be the slow component
-            order = [2, 3, 0, 1, 4]
-            p, sigma = p[order], sigma[order]
     elif model == "lorentzian":
         p[2] = abs(p[2])
-    return p, sigma
+    return p
 
 
 def _param_map(names, x0, xs, ys, freq):

@@ -173,9 +173,6 @@ class TestExitCodes:
               "--set", "tau_max_s=4.27e-07", "--set", "t2_s=2.9e-05"], None, "t2_fit_s"),
             # a sweep of 1.33 line widths: the fit ends 79% off in width, far from the exact model
             (["resonator", "--set", "span_hz=80e6"], None, "residual norm"),
-            # equal lifetimes: the trace is not one exponential, and one rate would be 2.5x and 3.8x off
-            (["holeburn", "--set", "t1_spin_s=0.0255", "--set", "t1_opt_s=0.0255"], None, "no two distinct rates"),
-            (["holeburn", "--set", "t1_spin_s=0.053", "--set", "t1_opt_s=0.053"], None, "no two distinct rates"),
             # one detuning node: the trace does not dephase, so it holds no decay time
             (["ramsey", "--set", "n_samples=1"], None, "t2_star_s"),
             # a line far wider than the sweep: the trace is flat, with no center or width
@@ -183,8 +180,8 @@ class TestExitCodes:
         ],
         ids=[
             "quadrature", "optimizer", "non-finite-summary", "zero-peak-power", "line-overflow", "one-frequency",
-            "profile-span-overflow", "profile-underflow", "growing-fit", "narrow-sweep", "equal-lifetimes",
-            "equal-default-lifetimes", "flat-ramsey", "flat-resonator",
+            "profile-span-overflow", "profile-underflow", "growing-fit", "narrow-sweep", "flat-ramsey",
+            "flat-resonator",
         ],
     )
     def test_numerical_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys, argv, stall, message):
@@ -201,6 +198,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical error" in err and message in err
         assert not any(tmp_path.iterdir())  # no trace or summary written
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            {"t1_spin_s": "0.0255", "t1_opt_s": "0.0255"},
+            {"t1_spin_s": "0.053", "t1_opt_s": "0.053"},
+            # lifetimes 1.9e-4 apart, where the search ends next to the merge
+            {"branch_same": "0.5235952394730654", "pump_rate_flip": "0.0", "pump_rate_preserve": "828.3420629355422",
+             "t1_spin_s": "0.07870348820183931", "t1_opt_s": "0.0787181119472798"},
+            # a fast amplitude 0.06% of the peak, which barely moves the residual
+            {"branch_same": "0.02361851222314959", "pump_rate_flip": "0", "pump_rate_preserve": "575.521730097716",
+             "t1_spin_s": "0.09385562499591005", "t1_opt_s": "0.005705479920470261"},
+        ],
+        ids=["equal-lifetimes", "equal-default-lifetimes", "near-equal-lifetimes", "negligible-fast-amplitude"],
+    )
+    def test_holeburn_recovers_both_lifetimes(self, tmp_path, sets):
+        """Merged, nearly merged and barely seen rates: the decay time is the slower lifetime, the rise the faster."""
+        assert cli.main(["holeburn", *(arg for kv in sets.items() for arg in ("--set", "=".join(kv))), "--out",
+                         str(tmp_path)]) == 0
+        summary = read_summary(tmp_path / "holeburn_summary.txt")
+        lifetimes = sorted(float(sets[key]) for key in ("t1_spin_s", "t1_opt_s"))
+        assert float(summary["decay_time_s"]) == pytest.approx(lifetimes[1], rel=1e-6)
+        assert float(summary["rise_time_s"]) == pytest.approx(lifetimes[0], rel=1e-6)
+        assert all(math.isfinite(float(summary[key])) for key in ("decay_time_sigma_s", "rise_time_sigma_s"))
 
 
 # 0, negative, tiny, huge, infinite and random values, positive ones drawn

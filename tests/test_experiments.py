@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from erspin_sim import experiments, fitting, pumping
+from erspin_sim import experiments, pumping
 from erspin_sim.config import ConfigError
 
 
@@ -51,14 +51,6 @@ def test_holeburn_recovers_lifetimes_when_antihole_peaks_at_zero_wait(tmp_path):
     assert s["rise_time_s"] == pytest.approx(11e-3, rel=0.10)
 
 
-def test_holeburn_with_a_negligible_fast_amplitude_fits_one_exponential(tmp_path):
-    # the fast amplitude is 0.06% of the peak, so the pair of rates merges and the fit falls back to one rate
-    sets = {"branch_same": "0.02361851222314959", "pump_rate_flip": "0", "pump_rate_preserve": "575.521730097716",
-            "t1_spin_s": "0.09385562499591005", "t1_opt_s": "0.005705479920470261"}
-    s = experiments.run(experiments.build_config("holeburn", set_overrides=sets, output_dir=tmp_path))
-    assert s["decay_time_s"] == pytest.approx(0.09397, rel=0.01)
-
-
 def test_echo_amplitude_at_zero_extrapolates_to_zero_delay(tmp_path):
     # Ideal pulses refocus every member, so the echo is exp(-2 tau / t2): 1 at zero delay.
     sets = {"ideal_pulses": "true", "tau_min_s": "1e-7", "tau_points": "32", "n_samples": "301"}
@@ -78,14 +70,12 @@ pump_rate = st.one_of(st.just(0.0), st.floats(1.0, 1000.0))
     t1_opt=st.floats(5e-3, 15e-3),
 )
 def test_holeburn_decay_time_is_t1_spin(branch_same, flip, preserve, t1_spin, t1_opt):
-    """The fitted decay time is t1_spin_s within 1% wherever the trace shows it.
+    """The fit succeeds; its decay time is t1_spin_s and its rise time t1_opt_s within 1% where the trace shows them.
 
     The trace is exactly offset + slow exp(-t/t1_spin) + fast exp(-t/t1_opt).
     Its amplitudes, solved for at those rates, are measured against the
-    largest |signal|: a slow amplitude below 1% of it hides the decay time.
-    A fast amplitude below 1% leaves the biexponential degenerate, one rate
-    with nothing to fix it, and the fit may then stop at its evaluation
-    limit, but a decay time it reports must still be right.
+    largest |signal|: a slow amplitude below 1% of it hides the decay time,
+    and a fast one below 1% the rise time, which is then not checked.
     """
     assume(flip > 0 or preserve > 0)
     sets = {"branch_same": branch_same, "pump_rate_flip": flip, "pump_rate_preserve": preserve,
@@ -97,12 +87,10 @@ def test_holeburn_decay_time_is_t1_spin(branch_same, flip, preserve, t1_spin, t1
     _, slow, fast = np.abs(np.linalg.lstsq(basis, sig, rcond=None)[0]) / np.max(np.abs(sig))
     assume(slow >= 0.01)
     measure = experiments.EXPERIMENTS["holeburn"][0](params, None)
-    try:
-        decay = measure()[0]["decay_time_s"]
-    except fitting.FitError:
-        assert fast < 0.01
-    else:
-        assert decay == pytest.approx(t1_spin, rel=0.01)
+    summary = measure()[0]
+    assert summary["decay_time_s"] == pytest.approx(t1_spin, rel=0.01)
+    if fast >= 0.01:
+        assert summary["rise_time_s"] == pytest.approx(t1_opt, rel=0.01)
 
 
 def test_resonator_reports_exact_linewidth(default_runs):

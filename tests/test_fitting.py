@@ -164,11 +164,22 @@ class TestFitBehavior:
         with pytest.raises(fitting.FitError, match="did not converge"):
             fitting.fit((np.linspace(0, 1, 50), np.exp(-np.linspace(0, 1, 50))), "single-exponential")
 
-    def test_one_rate_fallback_needs_a_trace_one_rate_fits(self):
-        # (1 + 3x) exp(-2x) is where two rates merge: the pair fits it, one rate cannot
+    def test_merged_rates_fit_their_limit(self):
+        # (1 + 3x) exp(-2x) is where two rates merge: two exponentials tend to it, one cannot fit it
         x = np.linspace(0.0, 1.0, 61)
-        with pytest.raises(fitting.FitError, match="no two distinct rates"):
-            fitting.fit((x, (1.0 + 3.0 * x) * np.exp(-2.0 * x) + 0.5), "biexponential")
+        p = fitting.fit((x, (1.0 + 3.0 * x) * np.exp(-2.0 * x) + 0.5), "biexponential").parameters
+        assert p["rate1"] == pytest.approx(2.0, abs=1e-6) and p["rate2"] == pytest.approx(2.0, abs=1e-6)
+        assert p["offset"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_oscillating_trace_reports_its_envelope_rate(self):
+        # no two real rates give exp(-2x) cos(3x): both rates are the envelope's, the amplitudes undefined
+        x = np.linspace(0.0, 1.0, 61)
+        res = fitting.fit((x, np.exp(-2.0 * x) * np.cos(3.0 * x) + 0.1), "biexponential")
+        p = res.parameters
+        assert p["rate1"] == pytest.approx(2.0, rel=1e-9) and p["rate2"] == pytest.approx(2.0, rel=1e-9)
+        assert p["offset"] == pytest.approx(0.1, abs=1e-9)
+        assert math.isnan(p["amp1"]) and math.isnan(p["amp2"])
+        assert math.isfinite(res.uncertainties["tau_slow"]) and math.isfinite(res.uncertainties["tau_fast"])
 
 
 def signed(lo, hi):
@@ -183,7 +194,10 @@ class TestRecoversSyntheticParameters:
     * biexponential: tau_slow in [0.05, 0.5] span, tau_slow / tau_fast in
       [3, 30], |amp_fast| in [0.25, 1] |amp_slow|, or in [1, 2] |amp_slow|
       with the opposite sign (a trace that changes sign), |offset| <=
-      |amp_slow|, on a zero-wait point plus log-spaced waits;
+      |amp_slow|, on a zero-wait point plus log-spaced waits; or nearly
+      merged, tau_slow / tau_fast in [1, 1.1], 1 itself included, with the
+      pair's divided difference in [0.25, 1] tau_slow |amp_slow| of either
+      sign, so that the trace tends to (1 + b t) exp(-t/tau) as they merge;
     * damped sinusoid: 2 to 20 periods, decay rate up to 2 / span, any phase,
       |offset| <= |amplitude|;
     * Lorentzian: center in the middle 40 %, fwhm in [0.02, 0.3] span,
@@ -236,6 +250,25 @@ class TestRecoversSyntheticParameters:
         assert p["tau_slow"] == pytest.approx(t_slow, rel=1e-6)
         assert p["tau_fast"] == pytest.approx(t_fast, rel=1e-6)
         assert p["amp2"] == pytest.approx(-a1 * a2, rel=1e-6)
+
+    @given(
+        span=span,
+        a1=amplitude,
+        tau_slow=st.floats(0.05, 0.5),
+        ratio=st.one_of(st.just(1.0), st.floats(1.0, 1.1)),
+        a2=signed(0.25, 1.0),
+        c=fraction,
+    )
+    def test_biexponential_nearly_merged(self, span, a1, tau_slow, ratio, a2, c):
+        x = span * np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 80)])
+        t_slow, t_fast = tau_slow * span, tau_slow * span / ratio
+        # exp(-x / t_slow) times this is (exp(-x / t_slow) - exp(-x / t_fast)) / (1 / t_fast - 1 / t_slow)
+        half = (1.0 / t_fast - 1.0 / t_slow) / 2.0
+        difference = x if half == 0 else -np.expm1(-2.0 * half * x) / (2.0 * half)
+        y = a1 * (np.exp(-x / t_slow) * (1.0 + a2 * difference / t_slow) + c)
+        p = fitting.fit((x, y), "biexponential").parameters
+        assert p["tau_slow"] == pytest.approx(t_slow, rel=1e-6)
+        assert p["tau_fast"] == pytest.approx(t_fast, rel=1e-6)
 
     @given(
         span=span,
@@ -356,14 +389,15 @@ class TestSeed:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_blocks_of_candidates_change_no_pick(self, model, seed):
         """Blocks of about an eighth of the candidates, the last one short, pick bitwise what one block picks."""
-        _, basis, cands, fixed, _ = fitting._MODELS[model]
+        seed_of = fitting._MODELS[model][2]
+        cands = len(fitting._PAIRS[0]) if model == "biexponential" else fitting._SINGLES.shape[1]
         u = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 60)])
         v = np.random.default_rng(seed).standard_normal(len(u))
         picks = []
-        for block in (cands.shape[1] // 8 + 1, cands.shape[1]):
+        for block in (cands // 8 + 1, cands):
             with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
                 mp.setattr(fitting, "_BLOCK", block)
-                picks.append(fitting._seed(basis, cands, fixed(u, v), u, v).tobytes())
+                picks.append(seed_of(u, v).tobytes())
         assert picks[0] == picks[1]
 
 
