@@ -31,9 +31,8 @@ and frequency blocks stay within ``_TABLE_ELEMENTS``, so the tables a kernel
 holds at once do not grow with the ensemble or the time grid.
 
 Ensembles carry a detuning distribution (the inhomogeneous spin line) and
-a relative Rabi-amplitude distribution (drive-field inhomogeneity).  Grid
-quadrature is deterministic; Monte Carlo quadrature requires an explicit
-seed and is then bit-reproducible.
+a relative Rabi-amplitude distribution (drive-field inhomogeneity), both
+averaged on a deterministic grid.
 """
 
 from __future__ import annotations
@@ -107,48 +106,33 @@ class AmplitudeSpread:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Detuning line, amplitude spread and quadrature for ensemble averages.
+    """Detuning line and amplitude spread, averaged on a grid.
 
-    ``n_samples`` is the number of detuning nodes (grid mode) or of joint
-    Monte Carlo samples.  The detuning axis is truncated at
-    ``span_fwhm`` line widths in both modes so they estimate the same
-    truncated ensemble.  A Lorentzian line loses the mass
-    ``1 - (2/pi) atan(2 span_fwhm)`` beyond the span, about 1.6% at the
-    default ``span_fwhm = 20``.
+    ``n_samples`` is the number of detuning nodes.  The detuning axis is
+    truncated at ``span_fwhm`` line widths.  A Lorentzian line loses the
+    mass ``1 - (2/pi) atan(2 span_fwhm)`` beyond the span, about 1.6% at
+    the default ``span_fwhm = 20``.
     """
 
     detuning_line: LineShape = field(default_factory=lambda: LineShape("lorentzian", 9e6))
     rabi_spread: AmplitudeSpread = field(default_factory=lambda: AmplitudeSpread(0.01))
     n_samples: int = 2001
-    quadrature: str = "grid"
-    seed: int | None = None
     span_fwhm: float = 20.0
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.quadrature not in ("grid", "monte-carlo"):
-            raise ValueError("quadrature must be 'grid' or 'monte-carlo'")
-        if self.quadrature == "monte-carlo" and self.seed is None:
-            raise ValueError("monte-carlo quadrature requires an explicit seed")
         if self.span_fwhm <= 0:
             raise ValueError("span_fwhm must be > 0")
 
     def members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened (detunings_hz, relative_amplitudes, weights)."""
-        if self.quadrature == "grid":
-            d, wd = _detuning_grid(self.detuning_line, self.n_samples, self.span_fwhm)
-            a, wa = _amplitude_grid(self.rabi_spread)
-            det = np.repeat(d, a.size)
-            amp = np.tile(a, d.size)
-            wts = np.repeat(wd, a.size) * np.tile(wa, d.size)
-            return det, amp, wts / wts.sum()
-        rng = np.random.default_rng(self.seed)
-        det = _sample_line(rng, self.detuning_line, self.n_samples, self.span_fwhm)
-        hw = self.rabi_spread.half_width
-        amp = 1.0 + hw * (2.0 * rng.random(self.n_samples) - 1.0)
-        wts = np.full(self.n_samples, 1.0 / self.n_samples)
-        return det, amp, wts
+        d, wd = _detuning_grid(self.detuning_line, self.n_samples, self.span_fwhm)
+        a, wa = _amplitude_grid(self.rabi_spread)
+        det = np.repeat(d, a.size)
+        amp = np.tile(a, d.size)
+        wts = np.repeat(wd, a.size) * np.tile(wa, d.size)
+        return det, amp, wts / wts.sum()
 
 
 def _detuning_grid(line: LineShape, n: int, span_fwhm: float):
@@ -169,23 +153,6 @@ def _amplitude_grid(spread: AmplitudeSpread):
     w = np.ones(N_AMPLITUDE_NODES)
     w[0] = w[-1] = 0.5
     return a, w / w.sum()
-
-
-def _sample_line(rng, line: LineShape, n: int, span_fwhm: float) -> np.ndarray:
-    """Draw n detunings from the line, rejecting beyond the grid span."""
-    bound = span_fwhm * line.fwhm
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        if line.kind == "lorentzian":
-            cand = 0.5 * line.fwhm * np.tan(np.pi * (rng.random(n) - 0.5))
-        else:
-            sigma = line.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-            cand = sigma * rng.standard_normal(n)
-        cand = cand[np.abs(cand) <= bound][: n - filled]
-        out[filled : filled + cand.size] = cand
-        filled += cand.size
-    return line.center + out
 
 
 # ---------------------------------------------------------------------------

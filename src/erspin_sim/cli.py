@@ -2,8 +2,7 @@
 
 Usage::
 
-    erspin-sim <experiment> [--config FILE] [--set key=value ...]
-               [--out DIR] [--seed N]
+    erspin-sim <experiment> [--config FILE] [--set key=value ...] [--out DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error.
 """
@@ -47,7 +46,6 @@ def _parser() -> argparse.ArgumentParser:
         help="override a config key (repeatable)",
     )
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed for monte-carlo quadrature")
     return parser
 
 
@@ -61,13 +59,7 @@ def main(argv=None) -> int:
             key, value = item.split("=", 1)
             overrides[key.strip()] = value.strip()
         config_text = args.config.read_text() if args.config is not None else None
-        cfg = build_config(
-            args.experiment,
-            config_text=config_text,
-            set_overrides=overrides,
-            output_dir=args.out,
-            seed=args.seed,
-        )
+        cfg = build_config(args.experiment, config_text=config_text, set_overrides=overrides, output_dir=args.out)
         run(cfg)
     except ConfigError as exc:
         print(f"erspin-sim: config error: {exc}", file=sys.stderr)

@@ -1,18 +1,17 @@
 """Named experiment protocols wired end-to-end from configuration.
 
 Each experiment resolves defaults (preset-dependent where sensible) and
-overrides.  Its ``build(params, seed)`` makes every domain object and grid,
+overrides.  Its ``build(params)`` makes every domain object and grid,
 so their invariants and the cross-key checks run, and returns ``measure()``
 for the kernels and the fit.  ``build_config`` builds to validate; ``run``
 builds again, measures and writes two artifacts into the output directory:
 
-* ``<experiment>_trace.csv``   the primary trace; time-domain traces carry
-  ``#``-prefixed metadata lines before the column header, spectral
-  profiles use the plain two-column profile format,
+* ``<experiment>_trace.csv``   the primary trace: ``#``-prefixed metadata
+  lines, then the column header and the rows,
 * ``<experiment>_summary.txt`` flat key = value results with units
   suffixed in the key names.
 
-Identical configuration and seed give byte-identical outputs.
+Identical configuration gives byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -85,18 +84,15 @@ def _ensemble_params():
         "line_kind": Param("lorentzian", kind="str", choices=spectra.LINE_KINDS),
         "amplitude_spread": Param(0.01, minimum=0.0),
         "n_samples": Param(2001, kind="int", minimum=1),
-        "quadrature": Param("grid", kind="str", choices=("grid", "monte-carlo")),
         "span_fwhm": Param(20.0, minimum=0.1),
     }
 
 
-def _ensemble_from(params, seed):
+def _ensemble_from(params):
     return bloch.EnsembleSpec(
         detuning_line=spectra.LineShape(params["line_kind"], params["line_fwhm_hz"]),
         rabi_spread=bloch.AmplitudeSpread(params["amplitude_spread"]),
         n_samples=params["n_samples"],
-        quadrature=params["quadrature"],
-        seed=seed,
         span_fwhm=params["span_fwhm"],
     )
 
@@ -162,10 +158,10 @@ GRID_PERIOD_SHARE = 0.8
 def _check_grid_period(params, harmonic: int):
     """Reject a ``tau_max_s`` past ``GRID_PERIOD_SHARE`` of the period of the grid's ``harmonic``.
 
-    Grid quadrature puts the detunings on a uniform step delta, so a term
-    in ``harmonic`` times the detuning repeats every 1/(harmonic delta).
+    The detunings sit on a uniform step delta, so a term in ``harmonic``
+    times the detuning repeats every 1/(harmonic delta).
     """
-    if params["quadrature"] != "grid" or params["n_samples"] == 1:
+    if params["n_samples"] == 1:
         return
     width = 2.0 * params["span_fwhm"] * params["line_fwhm_hz"]  # the grid spans +-span_fwhm line widths
     steps = harmonic * width * params["tau_max_s"] / GRID_PERIOD_SHARE  # the grid steps the window needs
@@ -178,11 +174,11 @@ def _check_grid_period(params, harmonic: int):
 
 
 # ---------------------------------------------------------------------------
-# Builders.  Each returns measure() -> (summary dict, trace description).
+# Builders.  Each returns measure() -> (summary dict, (x name, y name, x, y)).
 
 
-def _build_rabi(params, seed):
-    spec = _ensemble_from(params, seed)
+def _build_rabi(params):
+    spec = _ensemble_from(params)
     f_set = params["rabi_frequency_hz"]
     omega = 2.0 * math.pi * f_set
     t = _grid(
@@ -211,8 +207,8 @@ def _build_rabi(params, seed):
     return measure
 
 
-def _build_ramsey(params, seed):
-    spec = _ensemble_from(params, seed)
+def _build_ramsey(params):
+    spec = _ensemble_from(params)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
     _check_grid_period(params, 1)
     taus = _grid(np.linspace, 0.0, params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
@@ -238,8 +234,8 @@ def _build_ramsey(params, seed):
 ECHO_FLOOR = 1e-12
 
 
-def _build_echo(params, seed):
-    spec = _ensemble_from(params, seed)
+def _build_echo(params):
+    spec = _ensemble_from(params)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
     if not params["tau_min_s"] < params["tau_max_s"]:  # a zero span holds no time constant
         raise ValueError("tau_min_s must be < tau_max_s")
@@ -271,7 +267,7 @@ def _build_echo(params, seed):
     return measure
 
 
-def _build_holeburn(params, seed):
+def _build_holeburn(params):
     rp = _rate_params_from(params)
     if rp.pump_rate_flip == 0.0 and rp.pump_rate_preserve == 0.0:
         raise ValueError("pump_rate_flip or pump_rate_preserve must be > 0, or the burn leaves no antihole to fit")
@@ -304,7 +300,7 @@ def _build_holeburn(params, seed):
     return measure
 
 
-def _build_pumping_efficiency(params, seed):
+def _build_pumping_efficiency(params):
     rp = _rate_params_from(params)
     # same-burn comparison: deplete the probed state through the
     # spin-preserving line at the same stimulated rate and compare the
@@ -345,20 +341,20 @@ def _build_pumping_efficiency(params, seed):
             "target_population_after_burn": float(p_anti[0]),
             "thermal_target_population": float(p_th[0]),
         }
-        return summary, ("profile", antihole)
+        return summary, ("frequency_hz", "value", antihole.freq_hz, antihole.alpha)
 
     return measure
 
 
 # The largest residual norm, as a share of the norm of the centered data, that
-# a resonator fit may leave.  The model is exact: on 550 random sweeps the
-# fits that hit the set width left at most 3.6e-14, and those of a sweep
-# narrower than about sqrt(2) line widths, which end 78-82% off in width,
-# left 0.82 or more (CHANGES.md).
+# a resonator fit may leave.  The model is exact: on 550 random sweeps the fits
+# left at most 3.6e-14, and on 300 sweeps of 0.02-2 line widths at most 8.7e-13
+# (CHANGES.md).  A sweep so narrow that its response is flat to about 1e-9
+# (span_hz = 1e3 at the default width) leaves rounding noise of 2.7e-5 of it.
 RESONATOR_RESIDUAL_GATE = 1e-6
 
 
-def _build_resonator(params, seed):
+def _build_resonator(params):
     rp = resonator.ResonatorParams(
         conversion=params["conversion_t_per_sqrt_w"],
         f0=params["f0_hz"],
@@ -399,7 +395,7 @@ def _build_resonator(params, seed):
     return measure
 
 
-def _build_heating_budget(params, seed):
+def _build_heating_budget(params):
     hm = resonator.HeatingModel(slope=params["slope_k_per_w"], max_delta_t=params["max_delta_t_k"])
     p_peak, pulse_len, rep_period = params["p_peak_w"], params["pulse_len_s"], params["rep_period_s"]
     if not rep_period >= pulse_len:
@@ -510,11 +506,6 @@ class ExperimentConfig:
     preset: str
     params: dict
     output_dir: Path
-    seed: int | None = None
-
-    @property
-    def needs_seed(self) -> bool:
-        return self.params.get("quadrature") == "monte-carlo"
 
 
 def build_config(
@@ -522,14 +513,12 @@ def build_config(
     config_text: str | None = None,
     set_overrides: dict[str, str] | None = None,
     output_dir="out",
-    seed: int | None = None,
 ) -> ExperimentConfig:
     """Resolve defaults, file values and overrides into a validated config.
 
     Raises :class:`ConfigError` naming the offending key for unknown keys,
-    unparsable values, range violations, a mismatched ``experiment`` line,
-    a negative seed, a missing seed with Monte Carlo quadrature or an input
-    the build rejects.
+    unparsable values, range violations, a mismatched ``experiment`` line
+    or an input the build rejects.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}")
@@ -543,11 +532,6 @@ def build_config(
     file_experiment = raw.pop("experiment", experiment)
     if file_experiment != experiment:
         raise ConfigError("experiment", f"config is for {file_experiment!r}, not {experiment!r}")
-    if "seed" in raw:
-        file_seed = Param(None, kind="int", minimum=0).parse("seed", raw.pop("seed"))
-        seed = seed if seed is not None else file_seed
-    if seed is not None and seed < 0:  # numpy seeds its generators with non-negative integers only
-        raise ConfigError("seed", f"must be >= 0, not {seed}")
     if "output_dir" in raw:
         output_dir = raw.pop("output_dir")
 
@@ -558,11 +542,7 @@ def build_config(
             raise ConfigError(key, f"unknown key for experiment {experiment!r}")
         params[key] = schema[key].parse(key, value)
 
-    cfg = ExperimentConfig(
-        experiment=experiment, preset=preset, params=params, output_dir=Path(output_dir), seed=seed
-    )
-    if cfg.needs_seed and cfg.seed is None:
-        raise ConfigError("seed", "monte-carlo quadrature requires a seed")
+    cfg = ExperimentConfig(experiment=experiment, preset=preset, params=params, output_dir=Path(output_dir))
     _build(cfg)
     return cfg
 
@@ -571,7 +551,7 @@ def _build(cfg: ExperimentConfig):
     """The experiment's ``measure()``; an input its build rejects is a :class:`ConfigError`."""
     build, _ = EXPERIMENTS[cfg.experiment]
     try:
-        return build(cfg.params, cfg.seed)
+        return build(cfg.params)
     except ValueError as exc:
         raise ConfigError(cfg.experiment, str(exc)) from exc
 
@@ -600,27 +580,19 @@ def run(cfg: ExperimentConfig) -> dict:
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg.experiment
-    trace_path = cfg.output_dir / f"{stem}_trace.csv"
-    if trace[0] == "profile":
-        trace[1].to_csv(trace_path)
-    else:
-        xname, yname, x, y = trace
-        with open(trace_path, "w") as fh:
-            fh.write(f"# experiment = {cfg.experiment}\n")
-            fh.write(f"# preset = {cfg.preset}\n")
-            for key in sorted(cfg.params):
-                fh.write(f"# {key} = {_format_value(cfg.params[key])}\n")
-            if cfg.seed is not None:
-                fh.write(f"# seed = {cfg.seed}\n")
-            fh.write(f"{xname},{yname}\n")
-            fh.write(spectra.csv_rows(x, y))
+    xname, yname, x, y = trace
+    with open(cfg.output_dir / f"{stem}_trace.csv", "w") as fh:
+        fh.write(f"# experiment = {cfg.experiment}\n")
+        fh.write(f"# preset = {cfg.preset}\n")
+        for key in sorted(cfg.params):
+            fh.write(f"# {key} = {_format_value(cfg.params[key])}\n")
+        fh.write(f"{xname},{yname}\n")
+        fh.write(spectra.csv_rows(x, y))
 
     summary_path = cfg.output_dir / f"{stem}_summary.txt"
     with open(summary_path, "w") as fh:
         fh.write(f"experiment = {cfg.experiment}\n")
         fh.write(f"preset = {cfg.preset}\n")
-        if cfg.seed is not None:
-            fh.write(f"seed = {cfg.seed}\n")
         for key, value in summary.items():
             fh.write(f"{key} = {_format_value(value)}\n")
     return summary

@@ -22,7 +22,8 @@ grid of rates (each pair of rates for the biexponential; inverse widths for
 the Lorentzian), every candidate going through the same closed form, a
 block of them per call, with the sinusoid frequency at the discrete
 spectrum peak and the Lorentzian center at the point farthest from the
-median.  A Levenberg-Marquardt search refines it.  The biexponential's
+mean of the two end samples, which stays on the peak when most samples
+lie near it.  A Levenberg-Marquardt search refines it.  The biexponential's
 columns are its two exponentials' mean and first divided difference,
 e^(-mu) cosh(du) and e^(-mu) sinh(du)/d for rates m -+ d, which stay two
 columns as the rates merge (Hochbruck and Ostermann, Acta Numerica 19,
@@ -161,7 +162,7 @@ _MODELS = {
     ),
     "lorentzian": (
         ("amplitude", "center", "fwhm", "offset"), _lorentzians,
-        lambda u, v: _seed(_lorentzians, _SINGLES, [u[np.argmax(np.abs(v - np.median(v)))]], u, v),
+        lambda u, v: _seed(_lorentzians, _SINGLES, [u[np.argmax(np.abs(v - 0.5 * (v[0] + v[-1])))]], u, v),
         lambda q, a, c: [a[..., 0], q[..., 0], 1.0 / q[..., 1], c],
     ),
 }

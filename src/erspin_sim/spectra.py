@@ -120,12 +120,6 @@ class SpectrumProfile:
         object.__setattr__(self, "freq_hz", f)
         object.__setattr__(self, "alpha", a)
 
-    def to_csv(self, path) -> None:
-        """Two-column CSV (frequency_hz, value) with a one-line header."""
-        with open(path, "w") as fh:
-            fh.write("frequency_hz,value\n")
-            fh.write(csv_rows(self.freq_hz, self.alpha))
-
 
 def antihole_spectra(spin_line: LineShape, polarizations, rm: ReadoutModel) -> list[SpectrumProfile]:
     """Absorption profiles of the probed line, one per spin polarization.

@@ -131,30 +131,6 @@ class TestRabiTrace:
         late = w[-period:].max() - w[-period:].min()
         assert late < 0.5 * early
 
-    def test_monte_carlo_agrees_with_grid_within_three_sigma(self):
-        t = np.linspace(0.0, 2e-7, 9)
-        grid = bloch.rabi_trace(bloch.EnsembleSpec(n_samples=4001), OMEGA_GROUND, t)[1]
-        estimates = []
-        for seed in range(12):
-            mc_spec = bloch.EnsembleSpec(n_samples=4000, quadrature="monte-carlo", seed=seed)
-            estimates.append(bloch.rabi_trace(mc_spec, OMEGA_GROUND, t)[1])
-        estimates = np.array(estimates)
-        mean = estimates.mean(axis=0)
-        sem = estimates.std(axis=0, ddof=1) / math.sqrt(len(estimates))
-        # skip t = 0 where every member starts at exactly -1
-        assert np.all(np.abs(mean[1:] - grid[1:]) <= 3.0 * sem[1:])
-
-    def test_monte_carlo_is_seed_reproducible(self):
-        spec = bloch.EnsembleSpec(n_samples=500, quadrature="monte-carlo", seed=42)
-        t = np.linspace(0.0, 1e-7, 11)
-        a = bloch.rabi_trace(spec, OMEGA_GROUND, t)[1]
-        b = bloch.rabi_trace(spec, OMEGA_GROUND, t)[1]
-        assert np.array_equal(a, b)
-
-    def test_seed_required_for_monte_carlo(self):
-        with pytest.raises(ValueError):
-            bloch.EnsembleSpec(quadrature="monte-carlo")
-
 
 class TestPiFidelityCenter:
     def test_zero_spread_is_unity(self):

@@ -116,21 +116,6 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="experiment"):
             experiments.build_config("rabi", config_text=text)
 
-    def test_monte_carlo_requires_seed(self):
-        with pytest.raises(ConfigError, match="seed"):
-            experiments.build_config("rabi", set_overrides={"quadrature": "monte-carlo"})
-        cfg = experiments.build_config(
-            "rabi", set_overrides={"quadrature": "monte-carlo"}, seed=7
-        )
-        assert cfg.seed == 7
-
-    def test_seed_from_file_unless_overridden(self):
-        text = "schema_version = 1\nseed = 3\n"
-        cfg = experiments.build_config("rabi", config_text=text)
-        assert cfg.seed == 3
-        cfg = experiments.build_config("rabi", config_text=text, seed=11)
-        assert cfg.seed == 11
-
     def test_set_overrides_beat_file_values(self):
         text = "schema_version = 1\nn_samples = 101\n"
         cfg = experiments.build_config("rabi", config_text=text, set_overrides={"n_samples": "301"})

@@ -86,7 +86,7 @@ def test_holeburn_decay_time_is_t1_spin(branch_same, flip, preserve, t1_spin, t1
     basis = np.stack([np.ones_like(x), np.exp(-x / t1_spin), np.exp(-x / t1_opt)], axis=1)
     _, slow, fast = np.abs(np.linalg.lstsq(basis, sig, rcond=None)[0]) / np.max(np.abs(sig))
     assume(slow >= 0.01)
-    measure = experiments.EXPERIMENTS["holeburn"][0](params, None)
+    measure = experiments.EXPERIMENTS["holeburn"][0](params)
     summary = measure()[0]
     assert summary["decay_time_s"] == pytest.approx(t1_spin, rel=0.01)
     if fast >= 0.01:

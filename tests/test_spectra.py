@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from erspin_sim import pumping, spectra
+from erspin_sim import experiments, pumping, spectra
 from trace_csv import read_trace_csv
 
 
@@ -188,13 +188,17 @@ class TestSpectrumProfile:
             spectra.SpectrumProfile(np.array([0.0, 0.0, 1.0]), np.zeros(3))
 
     def test_csv_roundtrip(self, tmp_path):
-        rm = spectra.ReadoutModel()
-        prof = spectra.antihole_spectrum(spectra.LineShape("lorentzian", 9e6), 0.5, rm)
-        path = tmp_path / "profile.csv"
-        prof.to_csv(path)
-        first = path.read_text().splitlines()[0]
-        assert first == "frequency_hz,value"
+        """The pumping-efficiency trace: ``#`` lines, the column header, then the antihole profile's rows."""
+        summary = experiments.run(experiments.build_config("pumping-efficiency", output_dir=tmp_path))
+        path = tmp_path / "pumping-efficiency_trace.csv"
+        lines = path.read_text().splitlines()
+        head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert head > 0 and lines[head] == "frequency_hz,value"
+        prof = spectra.antihole_spectrum(
+            spectra.LineShape("lorentzian", 9e6), summary["efficiency_thermal_baseline"], spectra.ReadoutModel()
+        )
         freq, alpha = read_trace_csv(path)
+        assert len(lines) == head + 1 + len(freq)
         assert np.array_equal(freq, prof.freq_hz)
         assert np.array_equal(alpha, prof.alpha)
 
