@@ -16,19 +16,24 @@ orders of magnitude below all lifetimes.  One elementwise helper,
 turns ``r_perp`` by ``exp(-i phi)`` before the map and back after it.
 :func:`propagate` applies one pulse to one spin, and the pi-pulse fidelities
 read the ground-state transfer probability from the same map.  The three
-protocols, Rabi, Ramsey and echo, are ensemble kernels: each member's pulse
-maps are built once, one block of members at a time; a delay is a
-z-rotation by ``2 pi Delta tau``, so Ramsey and echo signals are evaluated
-in closed form in tau, as trig sums over members, like the Rabi trace in t.
-A trig sum merges members of equal frequency (Rabi's generalized frequencies
-are even in the detuning; the two-pulse harmonics do not depend on the
-amplitude node) and splits a uniform time grid of N points into about
-sqrt(N) blocks whose tables are complex powers of one step, so it needs 3
-trig values per frequency, and products about 2 log2(sqrt(N)) roundings
-deep, instead of N trig values; a grid that is not uniform is summed
-directly.  The tables are built one block of frequencies at a time.  Member
-and frequency blocks stay within ``_TABLE_ELEMENTS``, so the tables a kernel
-holds at once do not grow with the ensemble or the time grid.
+protocols, Rabi, Ramsey and echo, are ensemble kernels that read the
+grid's two axes, detuning and amplitude, never its flattened members.  A
+pulse at ``-Delta`` is the one at ``+Delta`` with its axis's z component
+negated, so the kernels fold mirror detunings once (:func:`_folded`) and
+build pulse maps only on the distinct ``|Delta|``, one block of rows at a
+time; the echo's pi map comes from its pi/2 map by double angles.  A delay
+is a z-rotation by ``2 pi Delta tau``, so Ramsey and echo signals are
+evaluated in closed form in tau, as trig sums over the folded grid, like
+the Rabi trace in t: Rabi's generalized frequencies and the Ramsey signal
+are even in the detuning, and an echo coefficient at ``-|Delta|`` is
+``-conj`` of one summed at ``+|Delta|``.  A trig sum splits a uniform time
+grid of N points into about sqrt(N) blocks whose tables are complex powers
+of one step, so it needs 3 trig values per frequency, and products about 2
+log2(sqrt(N)) roundings deep, instead of N trig values; a grid that is not
+uniform is summed directly.  The tables are built one block of frequencies
+at a time.  Row and frequency blocks stay within ``_TABLE_ELEMENTS``, so
+the tables a kernel holds at once do not grow with the ensemble or the time
+grid.
 
 Ensembles carry a detuning distribution (the inhomogeneous spin line) and
 a relative Rabi-amplitude distribution (drive-field inhomogeneity), both
@@ -127,12 +132,32 @@ class EnsembleSpec:
 
     def members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened (detunings_hz, relative_amplitudes, weights)."""
-        d, wd = _detuning_grid(self.detuning_line, self.n_samples, self.span_fwhm)
-        a, wa = _amplitude_grid(self.rabi_spread)
-        det = np.repeat(d, a.size)
-        amp = np.tile(a, d.size)
-        wts = np.repeat(wd, a.size) * np.tile(wa, d.size)
-        return det, amp, wts / wts.sum()
+        d, a, w = _grid(self)
+        return np.repeat(d, a.size), np.tile(a, d.size), w.ravel()
+
+
+def _grid(spec: EnsembleSpec):
+    """Detuning nodes (Hz), amplitude nodes and the (detuning, amplitude) table of weights, which sum to 1."""
+    d, wd = _detuning_grid(spec.detuning_line, spec.n_samples, spec.span_fwhm)
+    a, wa = _amplitude_grid(spec.rabi_spread)
+    w = np.multiply.outer(wd, wa)
+    return d, a, w / w.sum()
+
+
+def _folded(spec: EnsembleSpec):
+    """The grid with mirror detunings folded: ``(adw, a, wf)``.
+
+    ``adw`` holds the distinct ``|2 pi Delta|`` in ascending order, ``a`` the
+    amplitude nodes, and ``wf[0, j, k]`` and ``wf[1, j, k]`` the summed
+    weights of the nodes at ``+adw[j]`` and ``-adw[j]`` with amplitude
+    ``a[k]``.  Nodes fold only where their ``|2 pi Delta|`` are bitwise
+    equal, so no symmetry of the line is assumed.
+    """
+    d, a, w = _grid(spec)
+    dw = 2.0 * np.pi * d
+    adw, j = np.unique(np.abs(dw), return_inverse=True)
+    node = ((dw < 0) * adw.size + j)[:, None] * a.size + np.arange(a.size)
+    return adw, a, np.bincount(node.ravel(), w.ravel(), 2 * adw.size * a.size).reshape(2, adw.size, a.size)
 
 
 def _detuning_grid(line: LineShape, n: int, span_fwhm: float):
@@ -159,7 +184,7 @@ def _amplitude_grid(spread: AmplitudeSpread):
 # Pulse and trig-sum kernels
 
 
-def _pulse(om, dw, duration):
+def _pulse(om, dw, duration, twice=False):
     """A phase-0 pulse as ``(alpha, beta, gamma, eps)``, elementwise over broadcast inputs.
 
     ``om`` and ``dw`` (= 2 pi detuning) are in rad/s.  The pulse rotates by
@@ -172,24 +197,34 @@ def _pulse(om, dw, duration):
 
     which is the Rodrigues rotation ``c I + s [k]x + (1 - c) k k^T``
     (Levitt, Spin Dynamics, ch. 10).  ``beta`` is the transfer probability
-    from the ground state.
+    from the ground state.  With ``twice``, it returns this map and that of
+    the pulse twice as long, built on the same axis from ``cos 2 theta = 1 -
+    2 sin^2 theta`` and ``sin 2 theta = 2 sin theta cos theta``.
+
+    Negating ``dw`` negates only ``kz``, so the map at ``-dw`` is bitwise
+    ``(conj(alpha), beta, -conj(gamma), eps)``.
     """
     gen = np.hypot(om, dw)
     safe = np.where(gen == 0.0, 1.0, gen)
     kx, kz = om / safe, dw / safe
     angle = gen * duration
     c, s = np.cos(angle), np.sin(angle)
-    vers = 1.0 - c
+    one = _rotation(kx, kz, c, s, 1.0 - c)
+    return (one, _rotation(kx, kz, 1.0 - 2.0 * s * s, 2.0 * s * c, 2.0 * s * s)) if twice else one
+
+
+def _rotation(kx, kz, c, s, vers):
     beta = 0.5 * vers * kx**2
     return c + beta + 1j * s * kz, beta, kx * (vers * kz - 1j * s), c + vers * kz**2
 
 
 #: Largest table, in elements, that an ensemble kernel builds at once: the
 #: trig tables of ``_trig_sum``, and the pulse maps of ``_two_pulse_signal``,
-#: whose member blocks are a sixth of it, since ``alpha`` and ``gamma`` are
-#: complex and ``beta`` and ``eps`` real.  A trig table (256 KiB) stays in
-#: cache, and a complex member array (43 KiB) below glibc's default mmap
-#: threshold, so blocks reuse warm heap memory instead of faulting fresh pages.
+#: whose blocks of |Delta| rows x amplitude nodes are a sixth of it, since
+#: ``alpha`` and ``gamma`` are complex and ``beta`` and ``eps`` real.  A trig
+#: table (256 KiB) stays in cache, and a complex map block (at most 43 KiB)
+#: below glibc's default mmap threshold, so blocks reuse warm heap memory
+#: instead of faulting fresh pages.
 _TABLE_ELEMENTS = 2**14
 
 
@@ -209,32 +244,19 @@ def _powers(first: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _merge(f: np.ndarray, *cs: np.ndarray):
-    """The distinct values of ``f``, sorted, and each ``c`` summed over the members of each value.
-
-    Members merge only where their frequencies are bitwise equal, so no
-    symmetry of the ensemble is assumed.  Doubling ``f`` doubles the distinct
-    values and keeps which members share one, so a harmonic reuses a merge.
-    """
-    f, member = np.unique(f, return_inverse=True)
-    return f, *(
-        np.bincount(member, c.real, f.size) + 1j * np.bincount(member, c.imag, f.size) if np.iscomplexobj(c)
-        else np.bincount(member, c, f.size) for c in cs
-    )
-
-
 def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``sum_m c_m exp(i f_m t)`` at every t; real ``c`` gives the real part.
 
-    Callers merge members of bitwise-equal frequency first (:func:`_merge`);
-    a repeated frequency still sums right, at the cost of its own tables.  A
+    Callers pass the frequencies in ascending order, mirror detunings folded
+    (:func:`_folded`); a repeated frequency still sums right, at the cost of
+    its own tables.  A
     grid within a few ulps of ``t[0] + k dt`` is split into blocks of
     B = round(sqrt(N)) points, ``t[J B + j] = a_J + j dt``, and the sum is
     ``L @ R.T`` with ``R[j] = c z**j``, ``z = exp(i f dt)``, and
     ``L[J] = exp(i f t[0]) w**J``, ``w = exp(i f B dt)``, both tables built
     by :func:`_powers`.  A frequency thus costs 3 trig values, and products
     about 2 log2(sqrt(N)) roundings deep, instead of the direct sum's N trig
-    values.  The merged frequencies go through in blocks, each small enough
+    values.  The frequencies go through in blocks, each small enough
     that its two tables stay within ``_TABLE_ELEMENTS``, and the blocks'
     products are added up in frequency order.  A grid that is not uniform
     takes B = 1 and a table of ``exp(i f t)``, which is the direct sum.
@@ -291,7 +313,10 @@ def rabi_trace(spec: EnsembleSpec, rabi: float, t_grid):
 
     Starting from the ground state ``w = -1``, each member evolves under
     its detuning and scaled Rabi amplitude; the closed-form inversion is
-    averaged with the quadrature weights.  Returns ``(times, mean_inversion)``.
+    averaged with the quadrature weights.  It depends on the detuning only
+    through its square, so each mirror pair's weights are added per
+    amplitude node, and the trig sum runs over the (|Delta|, amplitude)
+    table, in ascending frequency.  Returns ``(times, mean_inversion)``.
 
     Detuning dephasing makes the oscillation contrast decay, which also
     pulls a plain damped-sinusoid fit of short traces above the drive
@@ -299,14 +324,16 @@ def rabi_trace(spec: EnsembleSpec, rabi: float, t_grid):
     frequency within 1%.
     """
     t = _time_axis(t_grid, "t_grid")
-    det, amp, wts = spec.members()
-    om = rabi * amp
-    dw = 2.0 * np.pi * det
-    gen2 = om**2 + dw**2
+    adw, a, wf = _folded(spec)
+    w = wf[0] + wf[1]  # the inversion is even in the detuning
+    om2 = (rabi * a) ** 2
+    gen2 = om2 + adw[:, None] ** 2
     gen2 = np.where(gen2 == 0.0, 1.0, gen2)
-    frac = wts * om**2 / gen2
-    # w(t) = -(1 - frac + frac cos(gen t)) member-wise
-    mean_w = -((wts - frac).sum() + _trig_sum(t, *_merge(np.sqrt(gen2), frac)))
+    frac = w * om2 / gen2
+    # w(t) = -(1 - frac + frac cos(gen t)) per (|Delta|, amplitude) node; in table order, not
+    # ascending, the default fit's contrast_decay_rate_hz moved 3.5e-9 relative between BLAS kernels
+    order = np.argsort(gen2, axis=None, kind="stable")
+    mean_w = -((w - frac).sum() + _trig_sum(t, np.sqrt(gen2.ravel()[order]), frac.ravel()[order]))
     return t, mean_w
 
 
@@ -365,41 +392,54 @@ def pi_fidelity_avg(rabi: float, spec: EnsembleSpec) -> float:
 def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: bool):
     """Ramsey inversion or echo magnitude, in closed form in tau.
 
-    Each member's pulse maps (:func:`_pulse`) are built once, over blocks of
-    members within ``_TABLE_ELEMENTS``; every step per member is elementwise,
-    so the blocks change no value.  A delay turns the transverse part
-    ``u + i v`` by ``exp(i dw tau)`` and damps it by ``exp(-tau/t2)``, so
-    each member's signal is a trig polynomial in ``dw tau``.
+    The pulse maps (:func:`_pulse`) are built once per node of the folded
+    (|Delta|, amplitude) table (:func:`_folded`), over row blocks within
+    ``_TABLE_ELEMENTS`` // 6 elements; each row's products are summed over
+    the amplitude axis, and its tau-independent term is kept and summed
+    once at the end, so the blocks change no value.  A delay turns the
+    transverse part ``u + i v`` by ``exp(i dw tau)`` and damps it by
+    ``exp(-tau/t2)``, so each member's signal is a trig polynomial in
+    ``dw tau``.  The Ramsey inversion is a real part, so a mirror pair is
+    one term at ``|dw|`` of their summed weight.  The echo is complex: each
+    product is summed once with the ``+|dw|`` weights and once with the
+    ``-|dw|`` ones, and the coefficient at ``-|dw|`` is ``-conj`` of the
+    latter sum; its trig sums run over ascending ``-|dw|`` and ``+|dw|``.
     """
     if rabi <= 0:
         raise ValueError("rabi must be > 0")
     if not t2 > 0:
         raise ValueError("t2 must be > 0")
     taus = _time_axis(tau_grid, "tau_grid")
-    det, amp, wts = spec.members()
-    dw = 2.0 * np.pi * det
-    # per member: the terms of the tau-independent part, then the coefficients of harmonics 1 and 2 of dw tau
-    h0 = np.empty(det.size, complex if refocus else float)
-    h = np.empty((2 if refocus else 1, det.size), complex)
-    step = max(1, _TABLE_ELEMENTS // 6)
-    for lo in range(0, det.size, step):
-        s = slice(lo, lo + step)
+    adw, a, wf = _folded(spec)
+    # per |Delta| row: the tau-independent term, then the coefficients of harmonics 1 and 2 of
+    # |dw| tau, summed over the amplitude axis; the echo's at +|dw| and -|dw| apart
+    h0 = np.empty(adw.size, complex if refocus else float)
+    h = np.empty((2, 2, adw.size) if refocus else (1, adw.size), complex)
+    rows = max(1, _TABLE_ELEMENTS // 6 // a.size)
+    for lo in range(0, adw.size, rows):
+        s = slice(lo, lo + rows)
         # ideal pulses are the same resonant x rotations for every member
-        om, off = (rabi, 0.0) if ideal_pulses else (rabi * amp[s], dw[s])
-        _, _, gamma, eps = _pulse(om, off, 0.5 * np.pi / rabi)
-        a_perp, a_z = -gamma, -eps  # (0, 0, -1) after the first pi/2 pulse
+        om, off = (rabi, 0.0) if ideal_pulses else (rabi * a, adw[s, None])
         if not refocus:  # w after the second pi/2 pulse is Re(gamma r_perp) + eps r_z
-            h0[s] = wts[s] * eps * a_z
-            h[0, s] = wts[s] * gamma * a_perp
+            _, _, gamma, eps = _pulse(om, off, 0.5 * np.pi / rabi)
+            w = wf[0, s] + wf[1, s]  # a mirror pair: conj terms, whose real parts agree
+            h0[s] = (w * eps * -eps).sum(-1)
+            h[0, s] = (w * gamma * -gamma).sum(-1)
             continue
-        alpha, beta, gamma, _ = _pulse(om, off, np.pi / rabi)
-        h0[s] = wts[s] * beta * np.conj(a_perp)
-        h[0, s] = wts[s] * gamma * a_z
-        h[1, s] = wts[s] * alpha * a_perp
+        (_, _, gamma, eps), (alpha, beta, gamma_pi, _) = _pulse(om, off, 0.5 * np.pi / rabi, twice=True)
+        a_perp, a_z = -gamma, -eps  # (0, 0, -1) after the first pi/2 pulse
+        # each product at -|dw| is -conj of its value at +|dw|
+        plus, minus = (wf[:, s] * beta * np.conj(a_perp)).sum(-1)
+        h0[s] = plus - np.conj(minus)
+        h[0, :, s] = (wf[:, s] * gamma_pi * a_z).sum(-1)
+        h[1, :, s] = (wf[:, s] * alpha * a_perp).sum(-1)
     damp = np.exp(-taus / t2)
-    f, *c = _merge(dw, *h)  # one merge serves both harmonics
     if not refocus:
-        return taus, h0.sum() + damp * _trig_sum(taus, f, c[0]).real
+        return taus, h0.sum() + damp * _trig_sum(taus, adw, h[0]).real
+    # frequencies -|dw| descending, then +|dw|, dropping those no node carries
+    keep = np.concatenate((wf[1, ::-1].any(-1), wf[0].any(-1)))
+    f = np.concatenate((-adw[::-1], adw))[keep]
+    c = [np.concatenate((-np.conj(hk[1, ::-1]), hk[0]))[keep] for hk in h]
     perp = damp**2 * (h0.sum() + _trig_sum(taus, 2.0 * f, c[1])) + damp * _trig_sum(taus, f, c[0])
     return taus, np.abs(perp)
 

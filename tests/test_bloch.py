@@ -259,17 +259,18 @@ class TestEcho:
         assert amp[1] == pytest.approx(math.exp(-1.0), abs=1e-9)
         assert amp[0] == pytest.approx(math.exp(-0.5), abs=1e-9)
 
-    @pytest.mark.parametrize("trace, pulses", [(bloch.ramsey_trace, 1), (bloch.echo_trace, 2)], ids=["ramsey", "echo"])
-    def test_one_pulse_map_per_pulse_kind_used(self, monkeypatch, trace, pulses):
-        durations, pulse = [], bloch._pulse
+    @pytest.mark.parametrize("trace, twice", [(bloch.ramsey_trace, False), (bloch.echo_trace, True)], ids=["ramsey", "echo"])
+    def test_one_pulse_map_per_pulse_kind_used(self, monkeypatch, trace, twice):
+        """One ``_pulse`` call builds the pi/2 map; the echo's also returns the pi map, on the same axis."""
+        calls, pulse = [], bloch._pulse
 
-        def counted(om, dw, duration):
-            durations.append(duration)
-            return pulse(om, dw, duration)
+        def counted(om, dw, duration, twice=False):
+            calls.append((duration, twice))
+            return pulse(om, dw, duration, twice)
 
         monkeypatch.setattr(bloch, "_pulse", counted)
         trace(spec_no_spread(n=101), OMEGA_GROUND, [0.0, 1e-7], t2=1e-6)
-        assert durations == [0.5 * math.pi / OMEGA_GROUND, math.pi / OMEGA_GROUND][:pulses]
+        assert calls == [(0.5 * math.pi / OMEGA_GROUND, twice)]
 
     @pytest.mark.parametrize("trace", [bloch.ramsey_trace, bloch.echo_trace], ids=["ramsey", "echo"])
     def test_t2_validation(self, trace):
@@ -301,7 +302,10 @@ class TestWorkingSet:
     @pytest.mark.parametrize("ideal", [False, True], ids=["finite", "ideal"])
     @pytest.mark.parametrize("trace", [bloch.ramsey_trace, bloch.echo_trace], ids=["ramsey", "echo"])
     def test_member_blocks_change_no_coefficient(self, monkeypatch, trace, ideal):
-        """Blocks of 7 members, which do not divide 101 x 11, give bitwise the coefficients of one block.
+        """Row blocks of 7 |Delta| x 11 amplitudes give bitwise the coefficients of one block.
+
+        101 detuning nodes fold into 51 distinct |Delta|, which 7 does not
+        divide.  Each row's tau-independent term is kept and summed once.
 
         ``_trig_sum`` is stubbed to record its frequencies and coefficients and
         to return zeros, so the signal left is the tau-independent part.
@@ -324,7 +328,7 @@ class TestWorkingSet:
         members = spec.members()[0].size
         one_block = coefficients(6 * members)
         assert len(one_block[1]) == (2 if trace is bloch.echo_trace else 1)
-        assert coefficients(6 * 7) == one_block
+        assert coefficients(6 * 7 * 11) == one_block
 
     def test_default_traces_stay_within_a_few_megabytes(self):
         """One default rabi trace and one default echo trace on the default 2,001 x 11 members.
@@ -342,6 +346,101 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= 4e6
+
+
+@st.composite
+def ensembles(draw):
+    """``(spec, rabi, ideal_pulses)`` for the three ensemble kernels.
+
+    The line is Lorentzian or Gaussian, centered on zero or off it, on 1, 2,
+    or an odd or even number of detuning nodes; the amplitude spread is zero
+    or not, and the pulses ideal or finite.  Detunings stay within 60 MHz,
+    so that over 0.2 us no phase passes about 75 rad, and the trig sums'
+    rounding (about phase x eps) stays well below the bound of the fold test.
+    """
+    center = draw(st.one_of(st.just(0.0), st.floats(-1e7, 1e7)))
+    lineshape = spectra.LineShape(draw(st.sampled_from(spectra.LINE_KINDS)), draw(st.floats(1e5, 5e6)), center)
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 301)))
+    spread = bloch.AmplitudeSpread(draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.1))))
+    spec = bloch.EnsembleSpec(lineshape, spread, n_samples=n, span_fwhm=draw(st.floats(1.0, 10.0)))
+    return spec, draw(st.sampled_from([OMEGA_GROUND, OMEGA_EXCITED])), draw(st.booleans())
+
+
+def direct_signals(spec, rabi, t, taus, t2, ideal_pulses):
+    """Rabi, ramsey and echo signals summed member by member over ``spec.members()``.
+
+    Each member has its own :func:`bloch._pulse` maps, a delay turns its
+    ``u + i v`` by ``exp(1j dw tau)``, and no member is folded or merged.
+    """
+    det, amp, wts = spec.members()
+    dw, om = 2.0 * math.pi * det, rabi * amp
+    rabi_w = -(wts * bloch._pulse(om, dw, t[:, None])[3]).sum(axis=1)  # w = -eps from the ground state
+    om_p, dw_p = (rabi, 0.0) if ideal_pulses else (om, dw)
+    _, _, gamma, eps = bloch._pulse(om_p, dw_p, 0.5 * math.pi / rabi)
+    alpha, beta, gamma_pi, _ = bloch._pulse(om_p, dw_p, math.pi / rabi)
+    turn = np.exp(1j * np.multiply.outer(taus, dw)) * np.exp(-taus / t2)[:, None]
+    r, w = -gamma * turn, -eps  # after the first pi/2 pulse and one delay
+    ramsey = (wts * ((gamma * r).real + eps * w)).sum(axis=1)
+    echo = np.abs((wts * (alpha * r + beta * np.conj(r) + gamma_pi * w) * turn).sum(axis=1))
+    return rabi_w, ramsey, echo
+
+
+class TestFold:
+    @given(ensembles())
+    def test_kernels_equal_the_sum_over_members(self, case):
+        """Folding mirror detunings, summing over the amplitude axis and deriving the pi map keep every signal.
+
+        The kernels agree with :func:`direct_signals` within 1e-14 absolute.
+        """
+        spec, rabi, ideal = case
+        t, taus, t2 = np.linspace(0.0, 2e-7, 31), np.linspace(0.0, 2e-7, 16), 1e-6
+        got = (
+            bloch.rabi_trace(spec, rabi, t)[1],
+            bloch.ramsey_trace(spec, rabi, taus, t2=t2, ideal_pulses=ideal)[1],
+            bloch.echo_trace(spec, rabi, taus, t2=t2, ideal_pulses=ideal)[1],
+        )
+        for ours, direct in zip(got, direct_signals(spec, rabi, t, taus, t2, ideal)):
+            assert np.max(np.abs(ours - direct)) <= 1e-14
+
+
+class TestWorkCount:
+    def test_kernels_work_on_the_folded_grid(self, monkeypatch):
+        """On the default 2,001 x 11 ensemble, no pulse map or trig sum sees the 22,011 flattened members.
+
+        ``_pulse`` and ``_trig_sum`` are stubbed to record their input sizes.
+        The pulse maps of a kernel cover at most the distinct |Delta| x 11
+        nodes, rabi sums 11,011 frequencies and ramsey 1,001, and no kernel
+        asks for the flattened members.
+        """
+        spec = bloch.EnsembleSpec()
+        det = spec.members()[0]
+        folded = np.unique(np.abs(2.0 * math.pi * det)).size * bloch.N_AMPLITUDE_NODES
+        pulse, trig_sum = bloch._pulse, bloch._trig_sum
+        sizes = {}
+
+        def sized_pulse(om, dw, duration, twice=False):
+            sizes["pulse"].append(np.broadcast(om, dw, duration).size)
+            return pulse(om, dw, duration, twice)
+
+        def sized_trig_sum(t, f, c):
+            sizes["trig"].append(f.size)
+            return trig_sum(t, f, c)
+
+        monkeypatch.setattr(bloch, "_pulse", sized_pulse)
+        monkeypatch.setattr(bloch, "_trig_sum", sized_trig_sum)
+        monkeypatch.setattr(bloch.EnsembleSpec, "members", None)
+        taus = np.linspace(1e-8, 1.5e-6, 21)
+        for name, run in (
+            ("rabi", lambda: bloch.rabi_trace(spec, OMEGA_GROUND, np.linspace(0.0, 1e-6, 201))),
+            ("ramsey", lambda: bloch.ramsey_trace(spec, OMEGA_GROUND, taus, t2=1e-6)),
+            ("echo", lambda: bloch.echo_trace(spec, OMEGA_GROUND, taus, t2=1e-6)),
+        ):
+            sizes.update(pulse=[], trig=[])
+            run()
+            assert sum(sizes["pulse"]) <= folded, name
+            assert max(sizes["pulse"] + sizes["trig"]) < det.size, name
+            if name != "echo":
+                assert sizes["trig"] == [{"rabi": 11_011, "ramsey": 1_001}[name]]
 
 
 @st.composite
@@ -379,17 +478,27 @@ class TestTrigSum:
         assert np.iscomplexobj(got) == np.iscomplexobj(c)
         assert np.max(np.abs(got - (direct if np.iscomplexobj(c) else direct.real))) <= 1e-13
 
-    @given(trig_sums())
-    def test_merged_members_give_the_same_sum(self, case):
-        """Merging keeps the sum, and doubling the frequencies doubles the merge, as the echo's harmonic 2 uses."""
+    @given(trig_sums(), st.floats(0.0, 1.0))
+    def test_merged_members_give_the_same_sum(self, case, share):
+        """A folded sum equals the sum over both mirror members.
+
+        Each term ``c exp(i f t)`` is split into members at ``+|f|`` and
+        ``-|f|`` of weights ``share`` and ``1 - share``.  Where the member at
+        ``-|f|`` carries ``conj(c)``, as a ramsey product does, the real sum
+        over ``|f|`` with the pair's weights added is the real sum over both
+        members.  Where it carries ``-conj(c)``, as an echo product does, the
+        sum over ``-|f|`` and ``+|f|`` with ``-conj`` of the weighted ``c`` is
+        the sum over both members.
+        """
         t, f, c = case
-        merged, summed = bloch._merge(f, c)
-        assert np.all(np.diff(merged) > 0)
-        direct = (c * np.exp(1j * np.multiply.outer(t, f))).sum(axis=1)
-        got = bloch._trig_sum(t, merged, summed)
-        assert np.max(np.abs(got - (direct if np.iscomplexobj(c) else direct.real))) <= 1e-13
-        doubled, summed_again = bloch._merge(2.0 * f, c)
-        assert doubled.tobytes() == (2.0 * merged).tobytes() and summed_again.tobytes() == summed.tobytes()
+        c, af = c.astype(complex), np.abs(f)
+        phase = np.exp(1j * np.multiply.outer(t, af))
+        plus, minus = share * c, (1.0 - share) * c
+        ramsey = (plus * phase + np.conj(minus) * np.conj(phase)).sum(axis=1).real
+        assert np.max(np.abs(bloch._trig_sum(t, af, plus + minus).real - ramsey)) <= 1e-13
+        echo = (plus * phase - np.conj(minus) * np.conj(phase)).sum(axis=1)
+        folded = bloch._trig_sum(t, np.concatenate((-af, af)), np.concatenate((-np.conj(minus), plus)))
+        assert np.max(np.abs(folded - echo)) <= 1e-13
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
     @pytest.mark.parametrize("elements", [None, 1], ids=["one-table", "chunked"])
@@ -440,3 +549,17 @@ class TestPulse:
         assert np.max(np.abs(got - rodrigues)) <= 1e-12
         assert np.max(np.abs(got @ got.T - np.eye(3))) <= 1e-12
         assert np.linalg.det(got) == pytest.approx(1.0, abs=1e-12)
+
+    @given(rates, rates, st.floats(0.0, 1e-5))
+    def test_mirror_detuning_conjugates_the_map(self, om, dw, duration):
+        """At ``-dw`` the map is ``(conj(alpha), beta, -conj(gamma), eps)`` exactly, which the kernels' fold relies on."""
+        alpha, beta, gamma, eps = bloch._pulse(om, dw, duration)
+        assert bloch._pulse(om, -dw, duration) == (np.conj(alpha), beta, -np.conj(gamma), eps)
+
+    @given(rates, rates, st.floats(0.0, 1e-5))
+    def test_doubled_map_is_the_pulse_twice_as_long(self, om, dw, duration):
+        """``twice`` returns the map itself bitwise, and a map within 4 ulps of 1 of ``_pulse`` at twice the duration."""
+        one, two = bloch._pulse(om, dw, duration, twice=True)
+        assert all(a == b for a, b in zip(one, bloch._pulse(om, dw, duration)))
+        for a, b in zip(two, bloch._pulse(om, dw, 2.0 * duration)):
+            assert abs(a - b) <= 4 * np.finfo(float).eps
