@@ -116,7 +116,10 @@ class EnsembleSpec:
     ``n_samples`` is the number of detuning nodes.  The detuning axis is
     truncated at ``span_fwhm`` line widths.  A Lorentzian line loses the
     mass ``1 - (2/pi) atan(2 span_fwhm)`` beyond the span, about 1.6% at
-    the default ``span_fwhm = 20``.
+    the default ``span_fwhm = 20``.  A grid on whose every node the line
+    density underflows to 0, such as a Gaussian line on two nodes 20 widths
+    out, has no weights and raises :class:`ValueError`; an odd
+    ``n_samples`` puts a node at the line center.
     """
 
     detuning_line: LineShape = field(default_factory=lambda: LineShape("lorentzian", 9e6))
@@ -129,6 +132,7 @@ class EnsembleSpec:
             raise ValueError("n_samples must be >= 1")
         if self.span_fwhm <= 0:
             raise ValueError("span_fwhm must be > 0")
+        _detuning_grid(self.detuning_line, self.n_samples, self.span_fwhm)  # weights that sum to 0 are no grid
 
     def members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened (detunings_hz, relative_amplitudes, weights)."""
@@ -167,6 +171,9 @@ def _detuning_grid(line: LineShape, n: int, span_fwhm: float):
     w = np.asarray(line_value(line, f)).copy()
     w[0] *= 0.5
     w[-1] *= 0.5  # trapezoid end weights
+    if not w.sum() > 0:  # the density underflows at every node
+        raise ValueError(f"the line density is 0 at all {n} n_samples nodes of a span_fwhm = {span_fwhm:g} grid; "
+                         f"an odd n_samples, such as {n + 1}, puts one at the line center")
     return f, w / w.sum()
 
 

@@ -1,4 +1,6 @@
+import builtins
 import math
+import os
 import re
 import time
 
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from erspin_sim import experiments, pumping
+from erspin_sim import experiments, pumping, spectra
 from erspin_sim.config import ConfigError
+from trace_csv import read_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +161,82 @@ def test_grid_period_check_names_the_n_samples_that_resolve_the_window(experimen
     experiments.build_config(experiment, set_overrides={**sets, "n_samples": str(need)})
     with pytest.raises(ConfigError, match="tau_max_s"):
         experiments.build_config(experiment, set_overrides={**sets, "n_samples": str(need - 1)})
+
+
+def test_zero_weight_grid_names_the_n_samples_that_centers_a_node():
+    sets = {"line_kind": "gaussian", "n_samples": "2"}  # both nodes 20 widths out, where the density underflows
+    with pytest.raises(ConfigError, match="span_fwhm") as exc:
+        experiments.build_config("rabi", set_overrides=sets)
+    need = re.search(r"n_samples, such as (\d+),", str(exc.value)).group(1)
+    experiments.build_config("rabi", set_overrides={**sets, "n_samples": need, "trace_points": "64"})
+
+
+# Grids small enough that all seven experiments run in about a second.
+SMALL_GRIDS = {
+    "rabi": {"trace_points": "128", "n_samples": "301"},
+    "ramsey": {"tau_points": "32", "n_samples": "301"},
+    "echo": {"tau_points": "32", "n_samples": "1501"},
+    "holeburn": {"wait_points": "24"},
+}
+SUFFIXES = ("_trace.csv", "_summary.txt")
+
+
+def artifacts(experiment, out, **sets):
+    """The bytes of the trace and the summary that ``run`` writes into ``out``."""
+    sets = {**SMALL_GRIDS.get(experiment, {}), **sets}
+    experiments.run(experiments.build_config(experiment, set_overrides=sets, output_dir=out))
+    return [(out / f"{experiment}{suffix}").read_bytes() for suffix in SUFFIXES]
+
+
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENT_NAMES)
+def test_rewrite_gives_the_bytes_of_a_fresh_write(tmp_path, experiment):
+    fresh = artifacts(experiment, tmp_path / "fresh")
+    for name, old in (("junk", b"\xff" * 2**20), ("empty", b"")):
+        out = tmp_path / name
+        out.mkdir()
+        for suffix in SUFFIXES:
+            (out / f"{experiment}{suffix}").write_bytes(old)
+        assert artifacts(experiment, out) == fresh, name
+
+
+def test_shorter_rewrite_is_cut_to_length(tmp_path):
+    artifacts("heating-budget", tmp_path / "rerun", points="201")
+    shorter = artifacts("heating-budget", tmp_path / "rerun", points="51")
+    assert shorter == artifacts("heating-budget", tmp_path / "fresh", points="51")
+
+
+def test_artifacts_are_rewritten_in_place_not_truncated(tmp_path, monkeypatch):
+    opened = []
+    os_open, open_ = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags & os.O_TRUNC == 0))
+        return os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        opened.append((os.fspath(file) if isinstance(file, (str, os.PathLike)) else file, "w" not in mode))
+        return open_(file, mode, *args, **kwargs)
+
+    for _ in range(2):  # into a fresh directory, then over the first run's files
+        with monkeypatch.context() as m:
+            m.setattr(os, "open", spy_os_open)
+            m.setattr(builtins, "open", spy_open)
+            experiments.run(experiments.build_config("heating-budget", output_dir=tmp_path))
+    targets = {str(tmp_path / f"heating-budget{suffix}") for suffix in SUFFIXES}
+    assert {path for path, _ in opened} >= targets  # both were opened through a spied call
+    assert all(in_place for path, in_place in opened if path in targets)
+
+
+def test_repr_runs_once_per_distinct_magnitude(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(spectra, "repr", counting_repr, raising=False)
+    experiments.run(experiments.build_config("pumping-efficiency", output_dir=tmp_path))
+    x, y = read_trace_csv(tmp_path / "pumping-efficiency_trace.csv")
+    distinct = [np.unique(np.abs(v)).size for v in (x, y)]
+    assert distinct == [2001, 2008]  # a mirror-symmetric profile of 4001 points
+    assert len(calls) == sum(distinct)
