@@ -535,8 +535,6 @@ def build_config(
     file_experiment = raw.pop("experiment", experiment)
     if file_experiment != experiment:
         raise ConfigError("experiment", f"config is for {file_experiment!r}, not {experiment!r}")
-    if "output_dir" in raw:
-        output_dir = raw.pop("output_dir")
 
     preset = _PRESET.parse("preset", raw.pop("preset")) if "preset" in raw else _PRESET.default
     params = {name: spec.resolve_default(preset) for name, spec in schema.items()}

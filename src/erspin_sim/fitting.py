@@ -34,13 +34,19 @@ batch axis of parameter vectors, so a forward-difference Jacobian is one
 batched evaluation, and the 1- or 2-parameter step is in closed form too.
 A search that needs more than :data:`MAX_EVALS` evaluations raises
 :class:`FitError`.  The engine needs numpy alone, and identical inputs give
-bit-identical results.  Its sums are einsum calls, not BLAS ones, so the
-BLAS thread count and kernel change no fitted value of a given trace; only
-the covariance's pseudo-inverse, which the sigmas read, calls BLAS.
+bit-identical results.  Its sums are einsum calls and its solves closed
+forms: a fit calls no BLAS routine, so the BLAS thread count and kernel
+change no fitted value or sigma of a given trace.
 
-One-sigma uncertainties are the Gauss-Newton covariance built from a
-forward-difference Jacobian of the full model at the optimum; they are zero
-for an exact fit.
+One-sigma uncertainties are given for the parameters the nonlinear ones q
+fix: rates and time constants, frequency and decay rate, center and width.
+Their Gauss-Newton covariance is the inverse of J^T J for the Jacobian J of
+the projected residual at the optimum, the search's own forward
+difference; to first order in the residual it is the q block of the full
+model's covariance (Golub and Pereyra).  Amplitudes, offset and phase get
+none.  A sigma is a statistic of the fit to the trace as given, zero for
+an exact fit: it measures neither a grid's discretization nor the model's
+error.
 """
 
 from __future__ import annotations
@@ -61,6 +67,8 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit's named parameters, the sigmas of those that its nonlinear parameters fix, and its residual norm."""
+
     model: str
     parameters: dict[str, float]
     uncertainties: dict[str, float]
@@ -321,6 +329,12 @@ def fit(trace, model: str) -> FitResult:
     ``trace`` is a tuple ``(x, y)`` of equal-length arrays with at least
     twice as many points as model parameters.
 
+    ``uncertainties`` holds one-sigma values for the rates and time
+    constants, the frequency and decay rate, or the center and width: the
+    inverse of J^T J for the Jacobian J of the projected residual, scaled
+    by the residual variance and carried to the named parameters with the
+    amplitudes held fixed.  Amplitudes, offset and phase have no sigma.
+
     Decays run from the first sample x[0], not from x = 0: the amplitudes
     of the exponential and sinusoid-decay models are their decaying parts at
     x[0].  Phases and Lorentzian centers refer to x itself.
@@ -334,16 +348,16 @@ def fit(trace, model: str) -> FitResult:
     that merge need no other search.  As they merge amp1 and amp2 grow
     apart without bound; at d = 0 the model is (a + b t) e^(-m t) + c with
     t = x - x[0], and both rates are m, with finite sigmas, while amp1 and
-    amp2 and their sigmas are nan.  A trace that a damped oscillation,
-    e^(-m t) times a cosine and a sine, fits better than any two real rates
-    ends at p > m^2 and is reported the same way: both rates m, the
-    envelope's, and nan amplitudes.
+    amp2 are nan.  A trace that a damped oscillation, e^(-m t) times a
+    cosine and a sine, fits better than any two real rates ends at p > m^2
+    and is reported the same way: both rates m, the envelope's, and nan
+    amplitudes.
 
     Constant input is degenerate for every model; it yields zero
-    amplitudes and the offset, with every other parameter and its sigma nan
-    (so tau is inf), rather than an error.  Raises :class:`FitError`
-    for non-finite data, too few points, x values that are all equal, an
-    unknown model, or a search that did not converge.
+    amplitudes and the offset, with every other parameter and every sigma
+    nan (so tau and its sigma are inf), rather than an error.  Raises
+    :class:`FitError` for non-finite data, too few points, x values that are
+    all equal, an unknown model, or a search that did not converge.
     """
     if model not in _MODELS:
         raise FitError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
@@ -373,27 +387,27 @@ def fit(trace, model: str) -> FitResult:
     with np.errstate(all="ignore"):  # a step into overflow or 0/0 is not taken
         q, r = _levenberg_marquardt(residual, seed(u, v), model)
         alpha, offset, _ = _project(basis(q, u), v)
+        jac = _jacobian(residual, q, r)
 
-    # Gauss-Newton covariance of (q, amplitudes, offset), carried to the named parameters
-    theta, k = np.concatenate([q, alpha, [offset]]), len(q)
-
-    def model_of(t):
-        return np.einsum("...i,...in->...n", t[..., k:-1], basis(t[..., :k], u)) + t[..., -1:]
+    # Gauss-Newton covariance of q, the inverse of J^T J for the Jacobian J of the projected residual, as the
+    # search's step solves it: the full model's q block to first order in the residual (Golub and Pereyra),
+    # carried to the named parameters with the amplitudes fixed
+    a, rr, k = np.einsum("in,jn->ij", jac, jac), _dot(r, r), len(q)
+    cov = rr / max(len(u) - len(names), 1) * _solve([a[s, t] for s, t in _TRIANGLE[k]], np.eye(k), a.diagonal(), 0.0)[0]
 
     def named_of(t):
-        return np.stack(named(t[..., :k], t[..., k:-1], t[..., -1]), axis=-1)
+        return np.stack(np.broadcast_arrays(*named(t, alpha, offset)), axis=-1)
 
-    jac, rr = _jacobian(model_of, theta, v - r), _dot(r, r)
-    cov = rr / max(len(u) - len(names), 1) * np.linalg.pinv(np.einsum("in,jn->ij", jac, jac))
-    p = named_of(theta)
-    to_named = _jacobian(named_of, theta, p)
+    p = named_of(q)
+    to_named = _jacobian(named_of, q, p)
     popt, sigma = _canonical(model, p), np.sqrt(np.clip(np.einsum("ip,ij,jp->p", to_named, cov, to_named), 0, None))
     scale, shift = _param_map(names, x0, xs, ys, dict(zip(names, popt)).get("frequency", 0.0) / xs)
     params = dict(zip(names, (scale * popt + shift).tolist()))
-    uncert = dict(zip(names, (scale * sigma).tolist()))
+    uncert = {name: s for name, s in zip(names, (scale * sigma).tolist()) if name not in _LINEAR | {"phase"}}
     if not np.ptp(y):  # constant input fixes no nonlinear parameter
         for name in set(names) - _LINEAR:
-            params[name] = uncert[name] = np.nan
+            params[name] = np.nan
+        uncert = dict.fromkeys(uncert, np.nan)
     _add_time_constants(model, params, uncert)
     return FitResult(model=model, parameters=params, uncertainties=uncert, residual_norm=float(np.sqrt(rr)) * ys)
 

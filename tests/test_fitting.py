@@ -92,12 +92,14 @@ class TestExponentials:
         for model in fitting.MODEL_NAMES:
             for level in (0.0, -2.5):
                 res = fitting.fit((t, np.full(50, level)), model)
+                assert set(res.uncertainties).isdisjoint(("amplitude", "amp1", "amp2", "phase", "offset"))
                 for name, value in res.parameters.items():
                     if name in ("amplitude", "amp1", "amp2", "offset"):
                         assert value == (level if name == "offset" else 0.0)
-                        assert res.uncertainties[name] == 0.0
                     elif name.startswith("tau"):
                         assert value == math.inf
+                    elif name == "phase":
+                        assert math.isnan(value)
                     else:
                         assert math.isnan(value) and math.isnan(res.uncertainties[name])
                 assert res.residual_norm == 0.0
@@ -360,7 +362,7 @@ class TestBatchedJacobian:
     @pytest.mark.parametrize("model", fitting.MODEL_NAMES)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 61, 201, 1201]))
     def test_columns_equal_one_parameter_at_a_time(self, model, seed, n):
-        """Bitwise, for the search's residual and for the full model the covariance differentiates."""
+        """Bitwise, for the search's residual and for the full model that :func:`full_model_sigmas` differentiates."""
         basis = fitting._MODELS[model][1]
         rng = np.random.default_rng(seed)
         u, v = np.linspace(0.0, 1.0, n), rng.standard_normal(n)
@@ -382,6 +384,67 @@ class TestBatchedJacobian:
                 step = np.zeros(len(p))
                 step[j] = h[j]
                 assert np.array_equal(jac[j], (f(p + step) - f0) / h[j]), j
+
+
+def full_model_sigmas(x, y, model):
+    """Every named parameter's sigma from the Gauss-Newton covariance of the full model.
+
+    The model is differentiated by forward differences in (q, amplitudes,
+    offset) at the search's optimum, and J^T J inverted by ``np.linalg.pinv``.
+    """
+    names, basis, seed, named = fitting._MODELS[model]
+    x0, xs, ys = x[0], x[-1] - x[0], np.max(np.abs(y))
+    u, v = (x - x0) / xs, y / ys
+
+    def residual(q):
+        return fitting._project(basis(q, u), v)[2]
+
+    with np.errstate(all="ignore"):
+        q, r = fitting._levenberg_marquardt(residual, seed(u, v), model)
+    alpha, offset, _ = fitting._project(basis(q, u), v)
+    theta, k = np.concatenate([q, alpha, [offset]]), len(q)
+
+    def full_model(t):
+        return np.einsum("...i,...in->...n", t[..., k:-1], basis(t[..., :k], u)) + t[..., -1:]
+
+    def named_of(t):
+        return np.stack(named(t[..., :k], t[..., k:-1], t[..., -1]), axis=-1)
+
+    jac = fitting._jacobian(full_model, theta, v - r)
+    cov = (r @ r) / (len(u) - len(names)) * np.linalg.pinv(jac @ jac.T)
+    to_named = fitting._jacobian(named_of, theta, named_of(theta))
+    sigma = np.sqrt(np.einsum("ip,ij,jp->p", to_named, cov, to_named))
+    return dict(zip(names, fitting._param_map(names, x0, xs, ys, 0.0)[0] * sigma))
+
+
+def noiseless(model):
+    """An exact trace of ``model``, of order-one values."""
+    if model == "single-exponential":
+        x = np.linspace(0.0, 0.3, 100)
+        return x, 0.4 * np.exp(-x / 53e-3) + 0.02
+    if model == "biexponential":
+        x = np.concatenate([[0.0], np.geomspace(1e-4, 0.4, 80)])
+        return x, 0.3 * np.exp(-x / 53e-3) - 0.12 * np.exp(-x / 11e-3)
+    if model == "sinusoid-decay":
+        x = np.linspace(0.0, 4e-7, 401)
+        return x, 0.9 * np.cos(2.0 * math.pi * 8e6 * x - 1.1) * np.exp(-x / 2e-7) + 0.05
+    x = np.linspace(-5.0, 5.0, 201)
+    return x, 1.0 - 0.8 / (1.0 + (2.0 * x / 1.5) ** 2)
+
+
+class TestUncertainties:
+    @pytest.mark.parametrize("noise", [0.0, 1e-4, 1e-2])
+    @pytest.mark.parametrize("model", fitting.MODEL_NAMES)
+    def test_projected_jacobian_gives_the_full_model_sigmas(self, model, noise):
+        """The sigmas from the projected residual's Jacobian are those of the full model's nonlinear parameters."""
+        x, y = noiseless(model)
+        y = y + noise * np.random.default_rng(7).standard_normal(len(x))
+        got = fitting.fit((x, y), model).uncertainties
+        ref = full_model_sigmas(x, y, model)
+        nonlinear = [name for name in ref if name not in ("amplitude", "amp1", "amp2", "phase", "offset")]
+        assert sorted(name for name in got if not name.startswith("tau")) == sorted(nonlinear)
+        for name in nonlinear:
+            assert got[name] == pytest.approx(ref[name], rel=1e-6), name
 
 
 class TestSeed:
