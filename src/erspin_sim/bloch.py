@@ -26,14 +26,15 @@ is a z-rotation by ``2 pi Delta tau``, so Ramsey and echo signals are
 evaluated in closed form in tau, as trig sums over the folded grid, like
 the Rabi trace in t: Rabi's generalized frequencies and the Ramsey signal
 are even in the detuning, and an echo coefficient at ``-|Delta|`` is
-``-conj`` of one summed at ``+|Delta|``.  A trig sum splits a uniform time
-grid of N points into about sqrt(N) blocks whose tables are complex powers
-of one step, so it needs 3 trig values per frequency, and products about 2
-log2(sqrt(N)) roundings deep, instead of N trig values; a grid that is not
-uniform is summed directly.  The tables are built one block of frequencies
-at a time.  Row and frequency blocks stay within ``_TABLE_ELEMENTS``, so
-the tables a kernel holds at once do not grow with the ensemble or the time
-grid.
+``-conj`` of one summed at ``+|Delta|``.  A trig sum splits an evenly
+spaced grid of N points into about sqrt(N) blocks whose tables are complex
+powers of one step, so it needs 3 trig values per frequency, and products
+about 2 log2(sqrt(N)) roundings deep, instead of N trig values.  The
+kernels therefore take only ascending, evenly spaced time and delay grids,
+as ``np.linspace`` builds them, and raise :class:`ValueError` on any other.
+The tables are built one block of frequencies at a time.  Row and
+frequency blocks stay within ``_TABLE_ELEMENTS``, so the tables a kernel
+holds at once do not grow with the ensemble or the time grid.
 
 Ensembles carry a detuning distribution (the inhomogeneous spin line) and
 a relative Rabi-amplitude distribution (drive-field inhomogeneity), both
@@ -77,10 +78,6 @@ class BlochVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.v, self.w])
-
-
-#: Ensemble members start here unless stated otherwise.
-GROUND = BlochVector(0.0, 0.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -134,30 +131,22 @@ class EnsembleSpec:
             raise ValueError("span_fwhm must be > 0")
         _detuning_grid(self.detuning_line, self.n_samples, self.span_fwhm)  # weights that sum to 0 are no grid
 
-    def members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened (detunings_hz, relative_amplitudes, weights)."""
-        d, a, w = _grid(self)
-        return np.repeat(d, a.size), np.tile(a, d.size), w.ravel()
 
+def _folded(spec: EnsembleSpec):
+    """The (detuning, amplitude) grid with mirror detunings folded: ``(adw, a, wf)``.
 
-def _grid(spec: EnsembleSpec):
-    """Detuning nodes (Hz), amplitude nodes and the (detuning, amplitude) table of weights, which sum to 1."""
+    A node's weight is the product of its detuning and amplitude weights,
+    scaled so that all sum to 1.  ``adw`` holds the distinct ``|2 pi
+    Delta|`` in ascending order, ``a`` the amplitude nodes, and ``wf[0, j,
+    k]`` and ``wf[1, j, k]`` the summed weights of the nodes at ``+adw[j]``
+    and ``-adw[j]`` with amplitude ``a[k]``.  Nodes fold only where their
+    ``|2 pi Delta|`` are bitwise equal, so no symmetry of the line is
+    assumed.
+    """
     d, wd = _detuning_grid(spec.detuning_line, spec.n_samples, spec.span_fwhm)
     a, wa = _amplitude_grid(spec.rabi_spread)
     w = np.multiply.outer(wd, wa)
-    return d, a, w / w.sum()
-
-
-def _folded(spec: EnsembleSpec):
-    """The grid with mirror detunings folded: ``(adw, a, wf)``.
-
-    ``adw`` holds the distinct ``|2 pi Delta|`` in ascending order, ``a`` the
-    amplitude nodes, and ``wf[0, j, k]`` and ``wf[1, j, k]`` the summed
-    weights of the nodes at ``+adw[j]`` and ``-adw[j]`` with amplitude
-    ``a[k]``.  Nodes fold only where their ``|2 pi Delta|`` are bitwise
-    equal, so no symmetry of the line is assumed.
-    """
-    d, a, w = _grid(spec)
+    w = w / w.sum()
     dw = 2.0 * np.pi * d
     adw, j = np.unique(np.abs(dw), return_inverse=True)
     node = ((dw < 0) * adw.size + j)[:, None] * a.size + np.arange(a.size)
@@ -256,8 +245,8 @@ def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Callers pass the frequencies in ascending order, mirror detunings folded
     (:func:`_folded`); a repeated frequency still sums right, at the cost of
-    its own tables.  A
-    grid within a few ulps of ``t[0] + k dt`` is split into blocks of
+    its own tables.  ``t`` must be evenly spaced, within a few ulps of
+    ``t[0] + k dt`` (:func:`_time_axis` checks it).  It is split into blocks of
     B = round(sqrt(N)) points, ``t[J B + j] = a_J + j dt``, and the sum is
     ``L @ R.T`` with ``R[j] = c z**j``, ``z = exp(i f dt)``, and
     ``L[J] = exp(i f t[0]) w**J``, ``w = exp(i f B dt)``, both tables built
@@ -265,24 +254,19 @@ def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     about 2 log2(sqrt(N)) roundings deep, instead of the direct sum's N trig
     values.  The frequencies go through in blocks, each small enough
     that its two tables stay within ``_TABLE_ELEMENTS``, and the blocks'
-    products are added up in frequency order.  A grid that is not uniform
-    takes B = 1 and a table of ``exp(i f t)``, which is the direct sum.
+    products are added up in frequency order.
     """
     real = not np.iscomplexobj(c)
     n = t.size
     dt = (t[-1] - t[0]) / max(n - 1, 1)
-    uniform = np.abs(t[0] + dt * np.arange(n) - t).max() <= 4 * np.finfo(float).eps * np.abs(t).max()
-    block = round(math.sqrt(n)) if uniform else 1
+    block = round(math.sqrt(n))
     starts = t[::block]
     width = max(1, _TABLE_ELEMENTS // max(block, starts.size))  # frequencies per table
     out = np.zeros((starts.size, block), complex)
     for lo in range(0, f.size, width):
         fb = f[lo : lo + width]
         right = _powers(c[lo : lo + width].astype(complex), np.exp(1j * fb * dt), block)
-        if uniform:
-            left = _powers(np.exp(1j * fb * t[0]), np.exp(1j * fb * (block * dt)), starts.size)
-        else:
-            left = np.exp(1j * np.multiply.outer(starts, fb))
+        left = _powers(np.exp(1j * fb * t[0]), np.exp(1j * fb * (block * dt)), starts.size)
         out += left @ right.T
     out = out.ravel()[:n]
     return out.real if real else out
@@ -307,11 +291,18 @@ def propagate(b: BlochVector, p: Pulse, detuning: float = 0.0) -> BlochVector:
 
 
 def _time_axis(grid, name: str) -> np.ndarray:
+    """``grid`` as floats, checked to be what :func:`_trig_sum` sums over.
+
+    It must be a non-empty 1-d array, ascending and within a few ulps of
+    ``t[0] + k dt``, as ``np.linspace`` builds it; ``name`` names it in the
+    :class:`ValueError` otherwise.
+    """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d array")
-    if np.any(np.diff(t) < 0):
-        raise ValueError(f"{name} must be sorted ascending")
+    dt = (t[-1] - t[0]) / max(t.size - 1, 1)
+    if dt < 0 or np.abs(t[0] + dt * np.arange(t.size) - t).max() > 4 * np.finfo(float).eps * np.abs(t).max():
+        raise ValueError(f"{name} must be ascending and evenly spaced, as np.linspace builds it")
     return t
 
 
@@ -323,7 +314,9 @@ def rabi_trace(spec: EnsembleSpec, rabi: float, t_grid):
     averaged with the quadrature weights.  It depends on the detuning only
     through its square, so each mirror pair's weights are added per
     amplitude node, and the trig sum runs over the (|Delta|, amplitude)
-    table, in ascending frequency.  Returns ``(times, mean_inversion)``.
+    table, in ascending frequency.  ``t_grid`` must be ascending and evenly
+    spaced, as ``np.linspace`` builds it; any other grid raises
+    :class:`ValueError`.  Returns ``(times, mean_inversion)``.
 
     Detuning dephasing makes the oscillation contrast decay, which also
     pulls a plain damped-sinusoid fit of short traces above the drive
@@ -410,7 +403,8 @@ def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: boo
     one term at ``|dw|`` of their summed weight.  The echo is complex: each
     product is summed once with the ``+|dw|`` weights and once with the
     ``-|dw|`` ones, and the coefficient at ``-|dw|`` is ``-conj`` of the
-    latter sum; its trig sums run over ascending ``-|dw|`` and ``+|dw|``.
+    latter sum; its trig sums run over ascending ``-|dw|`` and ``+|dw|``,
+    on the evenly spaced delays that :func:`_time_axis` admits.
     """
     if rabi <= 0:
         raise ValueError("rabi must be > 0")
@@ -464,7 +458,9 @@ def ramsey_trace(
     (instantaneous) pulses and a Lorentzian line of width Gamma the
     envelope is ``exp(-pi Gamma tau)`` up to the line truncation; finite
     pulses reduce the tau = 0 transfer to the averaged pi-pulse fidelity.
-    Returns ``(taus, mean_inversion)``.
+    ``tau_grid`` must be ascending and evenly spaced, as ``np.linspace``
+    builds it; any other grid raises :class:`ValueError`.  Returns
+    ``(taus, mean_inversion)``.
     """
     return _two_pulse_signal(spec, rabi, tau_grid, refocus=False, t2=t2, ideal_pulses=ideal_pulses)
 
@@ -482,7 +478,9 @@ def echo_trace(
     component at time 2 tau.  Ideal pulses refocus the inhomogeneous
     dephasing exactly, leaving the phenomenological ``exp(-2 tau / t2)``
     envelope; ``t2 = math.inf`` keeps the echo at unit amplitude.
-    Returns ``(2 tau, amplitude)``.
+    ``tau_grid`` must be ascending and evenly spaced, as ``np.linspace``
+    builds it; any other grid raises :class:`ValueError`.  Returns
+    ``(2 tau, amplitude)``.
     """
     taus, sig = _two_pulse_signal(spec, rabi, tau_grid, refocus=True, t2=t2, ideal_pulses=ideal_pulses)
     return 2.0 * taus, sig

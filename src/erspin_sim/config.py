@@ -44,9 +44,3 @@ def parse_config_text(text: str) -> dict[str, str]:
         raise ConfigError("schema_version", f"unsupported version {version!r}, expected {SCHEMA_VERSION}")
     return out
 
-
-def serialize_config(mapping: dict[str, str]) -> str:
-    """Render a mapping back to config text (round-trips through parse)."""
-    lines = [f"schema_version = {SCHEMA_VERSION}"]
-    lines.extend(f"{key} = {value}" for key, value in mapping.items())
-    return "\n".join(lines) + "\n"

@@ -113,16 +113,21 @@ def _rate_params_from(params):
 
 
 def _interp_max(x, y):
-    """Location of the first local maximum, refined parabolically."""
+    """Location of the first local maximum, refined parabolically.
+
+    The parabola through the maximum and its two neighbours has a linear
+    slope, which each secant gives at its midpoint; the vertex is where
+    that slope crosses 0, on any spacing of the three points.
+    """
     i = int(np.argmax(y))
     for j in range(1, len(y) - 1):  # first local max beats the global argmax
         if y[j] >= y[j - 1] and y[j] > y[j + 1]:
             i = j
             break
     if 0 < i < len(y) - 1:
-        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-        if denom != 0.0:
-            return float(x[i] + 0.5 * (x[i] - x[i - 1]) * (y[i - 1] - y[i + 1]) / denom)
+        left, right = (y[i] - y[i - 1]) / (x[i] - x[i - 1]), (y[i + 1] - y[i]) / (x[i + 1] - x[i])
+        if left != right:
+            return float(0.5 * (x[i - 1] + x[i]) + 0.5 * (x[i + 1] - x[i - 1]) * left / (left - right))
     return float(x[i])
 
 

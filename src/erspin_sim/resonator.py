@@ -96,19 +96,15 @@ def s21(rp: ResonatorParams, f) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def field_from_power(rp: ResonatorParams, p: float, f: float | None = None) -> float:
-    """MW field amplitude in tesla delivered at power ``p`` watts.
+def field_from_power(rp: ResonatorParams, p: float) -> float:
+    """MW field amplitude in tesla delivered on resonance at power ``p`` watts.
 
-    Off resonance the field follows the square root of the relative
-    Lorentzian response; the overall insertion loss is part of the
-    calibration and does not enter again.  Exactly proportional to
-    sqrt(p).
+    ``conversion * sqrt(p)``: the insertion loss is part of the
+    calibration (:func:`calibrate_conversion`) and does not enter again.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    f = rp.f0 if f is None else f
-    rel_db = s21(rp, f) - s21(rp, rp.f0)
-    return rp.conversion * math.sqrt(p * 10.0 ** (rel_db / 10.0))
+    return rp.conversion * math.sqrt(p)
 
 
 def heating_budget(

@@ -11,6 +11,7 @@ from oracles import brute_pi_fidelity_avg, rk4_bloch_batch, two_pulse_reference
 
 OMEGA_GROUND = 2.0 * math.pi * 14.9e6
 OMEGA_EXCITED = 2.0 * math.pi * 6.2e6
+GROUND = bloch.BlochVector(0.0, 0.0, -1.0)
 
 
 def line(fwhm=9e6, kind="lorentzian"):
@@ -23,10 +24,18 @@ def spec_no_spread(fwhm=9e6, n=2001):
     )
 
 
+def members(spec):
+    """``spec``'s grid flattened to (detunings_hz, relative_amplitudes, weights), the weights summing to 1."""
+    d, wd = bloch._detuning_grid(spec.detuning_line, spec.n_samples, spec.span_fwhm)
+    a, wa = bloch._amplitude_grid(spec.rabi_spread)
+    w = np.multiply.outer(wd, wa)
+    return np.repeat(d, a.size), np.tile(a, d.size), (w / w.sum()).ravel()
+
+
 class TestPropagate:
     def test_resonant_pi_pulse_inverts(self):
         p = bloch.Pulse(rabi=OMEGA_GROUND, duration=math.pi / OMEGA_GROUND)
-        out = bloch.propagate(bloch.GROUND, p, detuning=0.0)
+        out = bloch.propagate(GROUND, p, detuning=0.0)
         assert abs(out.u) < 1e-9 and abs(out.v) < 1e-9
         assert out.w == pytest.approx(1.0, abs=1e-9)
 
@@ -41,7 +50,7 @@ class TestPropagate:
         # 2 pi rotation about the tilted axis: w returns to -1
         detuning = math.sqrt(3.0) * OMEGA_GROUND / (2.0 * math.pi)
         p = bloch.Pulse(rabi=OMEGA_GROUND, duration=math.pi / OMEGA_GROUND)
-        out = bloch.propagate(bloch.GROUND, p, detuning=detuning)
+        out = bloch.propagate(GROUND, p, detuning=detuning)
         assert out.w == pytest.approx(-1.0, abs=1e-9)
 
     def test_half_pulses_compose_exactly(self):
@@ -53,8 +62,8 @@ class TestPropagate:
             det = rng.uniform(-3e7, 3e7)
             full = bloch.Pulse(rabi=omega, duration=t, phase=phase)
             half = bloch.Pulse(rabi=omega, duration=t / 2.0, phase=phase)
-            a = bloch.propagate(bloch.GROUND, full, det)
-            b = bloch.propagate(bloch.propagate(bloch.GROUND, half, det), half, det)
+            a = bloch.propagate(GROUND, full, det)
+            b = bloch.propagate(bloch.propagate(GROUND, half, det), half, det)
             assert np.allclose(a.as_array(), b.as_array(), atol=1e-12)
 
     def test_norm_preserved_on_random_pulses(self):
@@ -81,7 +90,7 @@ class TestPropagate:
         brute = rk4_bloch_batch(np.tile([0.0, 0.0, -1.0], (n, 1)), omega, phase, det, dur)
         for i in range(n):
             p = bloch.Pulse(rabi=omega[i], duration=dur[i], phase=phase[i])
-            ours = bloch.propagate(bloch.GROUND, p, det[i]).as_array()
+            ours = bloch.propagate(GROUND, p, det[i]).as_array()
             assert np.max(np.abs(ours - brute[i])) < 1e-6
 
     def test_bloch_vector_norm_validation(self):
@@ -140,7 +149,7 @@ class TestPiFidelityCenter:
         # single member at relative error delta: infidelity sin^2(pi delta / 2)
         delta = 0.02
         p = bloch.Pulse(rabi=OMEGA_GROUND * (1.0 + delta), duration=math.pi / OMEGA_GROUND)
-        out = bloch.propagate(bloch.GROUND, p)
+        out = bloch.propagate(GROUND, p)
         infidelity = 1.0 - (1.0 + out.w) / 2.0
         assert infidelity == pytest.approx(math.sin(math.pi * delta / 2.0) ** 2, rel=1e-9)
         assert infidelity == pytest.approx(9.9e-4, abs=2e-5)
@@ -279,6 +288,26 @@ class TestEcho:
                 trace(spec_no_spread(), OMEGA_GROUND, [0.0, 1e-7], t2=t2)
 
 
+KERNELS = {
+    "rabi": lambda grid: bloch.rabi_trace(spec_no_spread(n=11), OMEGA_GROUND, grid),
+    "ramsey": lambda grid: bloch.ramsey_trace(spec_no_spread(n=11), OMEGA_GROUND, grid, t2=1e-6),
+    "echo": lambda grid: bloch.echo_trace(spec_no_spread(n=11), OMEGA_GROUND, grid, t2=1e-6),
+}
+
+
+class TestGridContract:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "grid",
+        [np.linspace(0.0, 1.0, 9) ** 2 * 1e-7, np.geomspace(1e-9, 1e-7, 9), np.linspace(1e-7, 0.0, 9)],
+        ids=["quadratic", "geometric", "descending"],
+    )
+    def test_kernels_reject_a_grid_that_is_not_evenly_spaced_ascending(self, kernel, grid):
+        name = "t_grid" if kernel == "rabi" else "tau_grid"
+        with pytest.raises(ValueError, match=f"{name} must be ascending and evenly spaced"):
+            KERNELS[kernel](grid)
+
+
 class TestTwoPulseOracle:
     @pytest.mark.parametrize("t2", [math.inf, 2e-7], ids=["t2-inf", "t2-finite"])
     @pytest.mark.parametrize("omega", [OMEGA_GROUND, OMEGA_EXCITED], ids=["ground", "excited"])
@@ -288,8 +317,8 @@ class TestTwoPulseOracle:
         spec = bloch.EnsembleSpec(
             detuning_line=line(), rabi_spread=bloch.AmplitudeSpread(0.05), n_samples=15, span_fwhm=5.0
         )
-        det, amp, wts = spec.members()
-        taus = np.array([0.0, 1.3e-8, 4.1e-8, 9.7e-8, 2.2e-7])
+        det, amp, wts = members(spec)
+        taus = np.linspace(0.0, 2.2e-7, 5)
         _, ramsey = bloch.ramsey_trace(spec, omega, taus, t2=t2)
         _, echo = bloch.echo_trace(spec, omega, taus, t2=t2)
         ref_ramsey = two_pulse_reference(det, amp, wts, omega, taus, t2, refocus=False, steps=500)
@@ -325,8 +354,7 @@ class TestWorkingSet:
             _, signal = trace(spec, OMEGA_GROUND, taus, t2=1e-6, ideal_pulses=ideal)
             return signal.tobytes(), sums
 
-        members = spec.members()[0].size
-        one_block = coefficients(6 * members)
+        one_block = coefficients(6 * members(spec)[0].size)
         assert len(one_block[1]) == (2 if trace is bloch.echo_trace else 1)
         assert coefficients(6 * 7 * 11) == one_block
 
@@ -367,12 +395,12 @@ def ensembles(draw):
 
 
 def direct_signals(spec, rabi, t, taus, t2, ideal_pulses):
-    """Rabi, ramsey and echo signals summed member by member over ``spec.members()``.
+    """Rabi, ramsey and echo signals summed member by member over ``members(spec)``.
 
     Each member has its own :func:`bloch._pulse` maps, a delay turns its
     ``u + i v`` by ``exp(1j dw tau)``, and no member is folded or merged.
     """
-    det, amp, wts = spec.members()
+    det, amp, wts = members(spec)
     dw, om = 2.0 * math.pi * det, rabi * amp
     rabi_w = -(wts * bloch._pulse(om, dw, t[:, None])[3]).sum(axis=1)  # w = -eps from the ground state
     om_p, dw_p = (rabi, 0.0) if ideal_pulses else (om, dw)
@@ -409,11 +437,10 @@ class TestWorkCount:
 
         ``_pulse`` and ``_trig_sum`` are stubbed to record their input sizes.
         The pulse maps of a kernel cover at most the distinct |Delta| x 11
-        nodes, rabi sums 11,011 frequencies and ramsey 1,001, and no kernel
-        asks for the flattened members.
+        nodes, and rabi sums 11,011 frequencies and ramsey 1,001.
         """
         spec = bloch.EnsembleSpec()
-        det = spec.members()[0]
+        det = members(spec)[0]
         folded = np.unique(np.abs(2.0 * math.pi * det)).size * bloch.N_AMPLITUDE_NODES
         pulse, trig_sum = bloch._pulse, bloch._trig_sum
         sizes = {}
@@ -428,7 +455,6 @@ class TestWorkCount:
 
         monkeypatch.setattr(bloch, "_pulse", sized_pulse)
         monkeypatch.setattr(bloch, "_trig_sum", sized_trig_sum)
-        monkeypatch.setattr(bloch.EnsembleSpec, "members", None)
         taus = np.linspace(1e-8, 1.5e-6, 21)
         for name, run in (
             ("rabi", lambda: bloch.rabi_trace(spec, OMEGA_GROUND, np.linspace(0.0, 1e-6, 201))),
@@ -447,18 +473,15 @@ class TestWorkCount:
 def trig_sums(draw, max_phase=100.0):
     """``(t, f, c)`` for ``bloch._trig_sum``.
 
-    Time grids of prime, square and other sizes, from zero or a later start,
-    uniform or quadratic; frequencies with repeats and 0; real or complex
+    Evenly spaced time grids of prime, square and other sizes, from zero or a
+    later start, as the kernels admit them; frequencies with repeats and 0; real or complex
     coefficients.  Phases stay within ``max_phase`` rad and the coefficient
     magnitudes sum to at most 1, as in an ensemble average.
     """
     n = draw(st.sampled_from([1, 2, 3, 5, 7, 13, 101, 4, 9, 16, 49, 400, 2001]))
     span = draw(st.floats(1e-9, 1e-5))
     t0 = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0).map(lambda x: x * span)))
-    if draw(st.booleans()):
-        t = np.linspace(t0, t0 + span, n)
-    else:
-        t = t0 + span * np.linspace(0.0, 1.0, n) ** 2
+    t = np.linspace(t0, t0 + span, n)
     pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8)) + [0.0]
     m = draw(st.integers(1, 40))
     f = np.array(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))) * (max_phase / (t0 + span))

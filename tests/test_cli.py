@@ -339,8 +339,10 @@ CORE_BOUNDS = (8.9e-15, 6e-10, 6.5e-8)
 # take none either keep their bytes under any thread count or kernel.
 BLAS_FREE = (
     "holeburn_trace.csv", "holeburn_summary.txt", "resonator_trace.csv", "resonator_summary.txt",
-    "heating-budget_trace.csv", "heating-budget_summary.txt",
+    "heating-budget_trace.csv", "heating-budget_summary.txt", "pumping-efficiency_summary.txt",
 )
+# The artifacts of the seven default runs at one OpenBLAS thread, written by golden/regenerate.py.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def default_runs(out, threads, core=None):
@@ -402,6 +404,19 @@ class TestThreadCounts:
         host, haswell = default_runs(tmp_path / "host", 1), default_runs(tmp_path / "haswell", 1, "Haswell")
         assert_close(host, haswell, *CORE_BOUNDS)
         assert_blas_free(host, haswell)
+
+
+class TestGoldenRecord:
+    def test_default_runs_match_the_record(self, tmp_path):
+        """Exact bytes where no BLAS call reaches, and the bounds between OpenBLAS kernels elsewhere.
+
+        A change that moves a value on purpose reruns ``golden/regenerate.py``.
+        """
+        files = [*GOLDEN.glob("*_trace.csv"), *GOLDEN.glob("*_summary.txt")]
+        record = {path.name: path.read_text() for path in files}
+        runs = default_runs(tmp_path, 1)
+        assert_close(record, runs, *CORE_BOUNDS)
+        assert_blas_free(record, runs)
 
 
 class TestArtifacts:

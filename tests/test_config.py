@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from erspin_sim import experiments
-from erspin_sim.config import ConfigError, parse_config_text, serialize_config
+from erspin_sim.config import SCHEMA_VERSION, ConfigError, parse_config_text
 
 GOOD = """\
 # rabi run at reduced drive
@@ -15,6 +15,11 @@ preset = ground-config
 rabi_frequency_hz = 1.2e7   # override
 n_samples = 501
 """
+
+
+def serialize_config(mapping):
+    """Config text for ``mapping``, which ``parse_config_text`` reads back."""
+    return "".join(f"{key} = {value}\n" for key, value in {"schema_version": SCHEMA_VERSION, **mapping}.items())
 
 
 def value_of(param):

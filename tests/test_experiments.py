@@ -54,6 +54,13 @@ def test_holeburn_recovers_lifetimes_when_antihole_peaks_at_zero_wait(tmp_path):
     assert s["rise_time_s"] == pytest.approx(11e-3, rel=0.10)
 
 
+@pytest.mark.parametrize("space", [np.linspace, np.geomspace])
+def test_peak_refinement_finds_the_vertex_of_a_parabola(space):
+    # holeburn's waits are geometric; a vertex formula for equal spacing read 0.0069262 on this grid
+    x = space(1e-4, 0.4, 60)
+    assert experiments._interp_max(x, -((x - 0.007) ** 2)) == pytest.approx(0.007, rel=1e-12)
+
+
 def test_echo_amplitude_at_zero_extrapolates_to_zero_delay(tmp_path):
     # Ideal pulses refocus every member, so the echo is exp(-2 tau / t2): 1 at zero delay.
     sets = {"ideal_pulses": "true", "tau_min_s": "1e-7", "tau_points": "32", "n_samples": "301"}

@@ -65,12 +65,6 @@ class TestFieldFromPower:
                 math.sqrt(p) * base, rel=1e-12
             )
 
-    def test_half_width_detuning_reduces_by_sqrt2(self):
-        rp = default_resonator()
-        on = resonator.field_from_power(rp, 50.0)
-        off = resonator.field_from_power(rp, 50.0, f=rp.f0 + 30e6)
-        assert off == pytest.approx(on / math.sqrt(2.0), rel=1e-12)
-
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             resonator.field_from_power(default_resonator(), -1.0)
