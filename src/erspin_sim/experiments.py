@@ -7,7 +7,8 @@ for the kernels and the fit.  ``build_config`` builds to validate; ``run``
 builds again, measures and writes two artifacts into the output directory:
 
 * ``<experiment>_trace.csv``   the primary trace: ``#``-prefixed metadata
-  lines, then the column header and the rows,
+  lines, then the column header and one ``x,y`` row per point, each value
+  the bytes ``repr`` writes for it (:func:`_csv_rows`),
 * ``<experiment>_summary.txt`` flat key = value results with units
   suffixed in the key names.
 
@@ -570,6 +571,37 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _reprs(v: np.ndarray) -> list[str]:
+    """``repr`` of each float in ``v``, called once per distinct magnitude.
+
+    A magnitude's text gets a ``-`` wherever the sign bit is set, which is
+    what ``repr`` writes for every float: -0.0 and -inf included.  A nan
+    prints as ``nan`` whatever its sign bit, so it never gets one.
+    """
+    mags, index = np.unique(np.abs(v), return_inverse=True)
+    text = np.array(list(map(repr, mags.tolist())), dtype=object)[index]
+    neg = np.flatnonzero(np.signbit(v) & ~np.isnan(v))
+    text[neg] = "-" + text[neg]
+    return text.tolist()
+
+
+def _csv_rows(x, y) -> str:
+    """``x,y`` lines of shortest round-trip floats, one per point, each ending in ``\\n``.
+
+    Every value is written as ``repr`` writes it, but ``repr`` runs once
+    per distinct magnitude in a column: a mirror-symmetric profile repeats
+    each magnitude, and ``repr`` is most of the cost of writing one.  The
+    text is joined once from a list of four parts per row (``x``, ``,``,
+    ``y``, ``\\n``), filled a column at a time by slice assignment.
+    """
+    xs, ys = (_reprs(np.asarray(v, dtype=float)) for v in (x, y))
+    parts = [","] * (4 * len(xs))
+    parts[0::4] = xs
+    parts[2::4] = ys
+    parts[3::4] = ["\n"] * len(xs)
+    return "".join(parts)
+
+
 def _write(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` as its UTF-8 bytes, with ``\\n`` line ends on every platform.
 
@@ -611,7 +643,7 @@ def run(cfg: ExperimentConfig) -> dict:
     xname, yname, x, y = trace
     head = [f"experiment = {cfg.experiment}\n", f"preset = {cfg.preset}\n"]
     keys = [f"{key} = {_format_value(cfg.params[key])}\n" for key in sorted(cfg.params)]
-    trace_text = "# " + "# ".join(head + keys) + f"{xname},{yname}\n" + spectra.csv_rows(x, y)
+    trace_text = "# " + "# ".join(head + keys) + f"{xname},{yname}\n" + _csv_rows(x, y)
     _write(cfg.output_dir / f"{cfg.experiment}_trace.csv", trace_text)
     values = [f"{key} = {_format_value(value)}\n" for key, value in summary.items()]
     _write(cfg.output_dir / f"{cfg.experiment}_summary.txt", "".join(head + values))

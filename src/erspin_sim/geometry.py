@@ -5,31 +5,19 @@ static field along the optical extinction axis D2 with the microwave field
 along the crystallographic b-axis (ground-config), or the reverse
 (excited-config).  Each preset is described by two effective scalar
 g-factors, along the static field and along the MW field: 10.5 and 1.6
-for the ground state, 10 and 0.95 for the optically excited state.  Those
-scalars, the 3.12 GHz splitting both presets target and their measured
-Rabi frequencies are stated here once; the other modules read them.
+for the ground state, 10 and 0.95 for the optically excited state.  The
+MW g-factors (``PRESET_G_MW``), the 3.12 GHz splitting both presets
+target and their measured Rabi frequencies are stated here once; the
+other modules read them.  No code reads the static-field g-factors, so
+they are stated only here and in the README.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .constants import BOHR_MAGNETON, PLANCK
 
 GROUND_CONFIG = "ground-config"    # static field || D2, MW field || b
 EXCITED_CONFIG = "excited-config"  # static field || b, MW field || D2
-
-
-@dataclass(frozen=True)
-class EffectiveGFactors:
-    """Scalar couplings along the static field and along the MW field."""
-
-    g_parallel: float
-    g_mw: float
-
-    def __post_init__(self):
-        if self.g_parallel < 0 or self.g_mw < 0:
-            raise ValueError("effective g-factors must be >= 0")
 
 
 def field_for_splitting(g_eff: float, splitting_hz: float) -> float:
@@ -44,13 +32,14 @@ def field_for_splitting(g_eff: float, splitting_hz: float) -> float:
 # ---------------------------------------------------------------------------
 # Presets
 
-_PRESET_G = {
-    GROUND_CONFIG: EffectiveGFactors(g_parallel=10.5, g_mw=1.6),
-    EXCITED_CONFIG: EffectiveGFactors(g_parallel=10.0, g_mw=0.95),
-}
-
 #: Ground-state splitting targeted by both presets, Hz.
 PRESET_SPLITTING_HZ = 3.12e9
+
+#: Effective MW g-factors, the coupling along the MW field, per preset.
+PRESET_G_MW = {
+    GROUND_CONFIG: 1.6,
+    EXCITED_CONFIG: 0.95,
+}
 
 #: Measured Rabi frequencies (Hz, not angular) anchored per preset.
 #: The excited value is below the pure g-factor scaling of the ground one
@@ -60,10 +49,3 @@ PRESET_RABI_HZ = {
     EXCITED_CONFIG: 6.2e6,
 }
 
-
-def preset_g_factors(name: str) -> EffectiveGFactors:
-    """Effective g-factors of a named field configuration."""
-    try:
-        return _PRESET_G[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; expected one of {sorted(_PRESET_G)}") from None

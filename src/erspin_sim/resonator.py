@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import BOHR_MAGNETON, HBAR
-from .geometry import GROUND_CONFIG, PRESET_RABI_HZ, PRESET_SPLITTING_HZ, preset_g_factors
+from .geometry import GROUND_CONFIG, PRESET_G_MW, PRESET_RABI_HZ, PRESET_SPLITTING_HZ
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def calibrate_conversion() -> float:
     frequency (2 pi x 14.9 MHz with g_mw = 1.6), i.e. B1 of about 1.33 mT.
     """
     rabi = 2.0 * math.pi * PRESET_RABI_HZ[GROUND_CONFIG]
-    b1 = 2.0 * HBAR * rabi / (preset_g_factors(GROUND_CONFIG).g_mw * BOHR_MAGNETON)
+    b1 = 2.0 * HBAR * rabi / (PRESET_G_MW[GROUND_CONFIG] * BOHR_MAGNETON)
     return b1 / math.sqrt(100.0)
 
 

@@ -3,7 +3,8 @@
 Frequencies are in Hz, absorption profiles are dimensionless optical depth
 per pass.  The spin transition is Lorentzian by default (9 MHz full width
 at half maximum); the optical probe resolution enters as a narrow
-convolution kernel.
+convolution kernel.  The module holds line shapes and profiles only:
+:mod:`experiments` writes a profile's rows into a trace.
 """
 
 from __future__ import annotations
@@ -20,37 +21,6 @@ PROFILE_SPAN_FWHM = 20.0
 
 #: Profile grid points per line width.
 PROFILE_POINTS_PER_FWHM = 100
-
-
-def _reprs(v: np.ndarray) -> list[str]:
-    """``repr`` of each float in ``v``, called once per distinct magnitude.
-
-    A magnitude's text gets a ``-`` wherever the sign bit is set, which is
-    what ``repr`` writes for every float: -0.0 and -inf included.  A nan
-    prints as ``nan`` whatever its sign bit, so it never gets one.
-    """
-    mags, index = np.unique(np.abs(v), return_inverse=True)
-    text = np.array(list(map(repr, mags.tolist())), dtype=object)[index]
-    neg = np.flatnonzero(np.signbit(v) & ~np.isnan(v))
-    text[neg] = "-" + text[neg]
-    return text.tolist()
-
-
-def csv_rows(x, y) -> str:
-    """``x,y`` lines of shortest round-trip floats, one per point, each ending in ``\\n``.
-
-    Every value is written as ``repr`` writes it, but ``repr`` runs once
-    per distinct magnitude in a column: a mirror-symmetric profile repeats
-    each magnitude, and ``repr`` is most of the cost of writing one.  The
-    text is joined once from a list of four parts per row (``x``, ``,``,
-    ``y``, ``\\n``), filled a column at a time by slice assignment.
-    """
-    xs, ys = (_reprs(np.asarray(v, dtype=float)) for v in (x, y))
-    parts = [","] * (4 * len(xs))
-    parts[0::4] = xs
-    parts[2::4] = ys
-    parts[3::4] = ["\n"] * len(xs)
-    return "".join(parts)
 
 
 @dataclass(frozen=True)

@@ -447,6 +447,18 @@ class TestUncertainties:
             assert got[name] == pytest.approx(ref[name], rel=1e-6), name
 
 
+class TestUnsortedInput:
+    @pytest.mark.parametrize("model", fitting.MODEL_NAMES)
+    def test_permuted_points_fit_as_the_sorted_trace(self, model):
+        """A trace given out of order fits bit for bit as its ascending one: parameters, sigmas, residual norm."""
+        x, y = noiseless(model)
+        y = y + 1e-2 * np.random.default_rng(7).standard_normal(len(x))
+        order = np.random.default_rng(11).permutation(len(x))
+        assert np.any(np.diff(x[order]) < 0)
+        # repr holds every field of the result, each float's exact bits and nan included
+        assert repr(fitting.fit((x[order], y[order]), model)) == repr(fitting.fit((x, y), model))
+
+
 class TestSeed:
     @pytest.mark.parametrize("model", fitting.MODEL_NAMES)
     @given(seed=st.integers(0, 2**32 - 1))

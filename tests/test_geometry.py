@@ -15,9 +15,4 @@ class TestZeemanSplitting:
 
 class TestPresets:
     def test_preset_g_factors(self):
-        g = geometry.preset_g_factors(geometry.GROUND_CONFIG)
-        assert (g.g_parallel, g.g_mw) == (10.5, 1.6)
-        e = geometry.preset_g_factors(geometry.EXCITED_CONFIG)
-        assert (e.g_parallel, e.g_mw) == (10.0, 0.95)
-        with pytest.raises(ValueError):
-            geometry.preset_g_factors("sideways-config")
+        assert geometry.PRESET_G_MW == {geometry.GROUND_CONFIG: 1.6, geometry.EXCITED_CONFIG: 0.95}

@@ -202,31 +202,3 @@ class TestSpectrumProfile:
         assert np.array_equal(freq, prof.freq_hz)
         assert np.array_equal(alpha, prof.alpha)
 
-
-# zeros, infinities, nan, the smallest subnormal and a larger one, a normal float
-SPECIAL_FLOATS = (0.0, math.inf, math.nan, 5e-324, 1.5e-310, 0.1)
-
-
-@st.composite
-def float_columns(draw):
-    """Two equal-length columns of floats drawn, each with either sign, from a small pool.
-
-    The pool makes magnitudes repeat and ``+-`` pairs mirror; ``-v`` sets the
-    sign bit of zeros and nan too.
-    """
-    pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)), min_size=1, max_size=12))
-    n = draw(st.integers(0, 50))
-    signed = st.tuples(st.sampled_from(pool), st.booleans()).map(lambda vs: -vs[0] if vs[1] else vs[0])
-    return tuple(np.array(draw(st.lists(signed, min_size=n, max_size=n)), dtype=float) for _ in range(2))
-
-
-class TestCsvRows:
-    @given(float_columns())
-    @example((np.array([0.0, -0.0, math.inf, -math.inf]), np.array([math.nan, -math.nan, 5e-324, -5e-324])))
-    def test_same_bytes_as_one_repr_per_value(self, columns):
-        x, y = columns
-        expected = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y))
-        assert spectra.csv_rows(x, y) == expected
-
-    def test_integer_input_is_written_as_floats(self):
-        assert spectra.csv_rows(np.arange(2), [3, 4]) == "0.0,3.0\n1.0,4.0\n"
