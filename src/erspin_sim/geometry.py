@@ -7,9 +7,9 @@ along the crystallographic b-axis (ground-config), or the reverse
 g-factors, along the static field and along the MW field: 10.5 and 1.6
 for the ground state, 10 and 0.95 for the optically excited state.  The
 MW g-factors (``PRESET_G_MW``), the 3.12 GHz splitting both presets
-target and their measured Rabi frequencies are stated here once; the
-other modules read them.  No code reads the static-field g-factors, so
-they are stated only here and in the README.
+target and their measured Rabi frequencies are stated here once, and the
+other modules read them from here.  No code reads the static-field
+g-factors, so they are stated only here and in the README.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ def field_for_splitting(g_eff: float, splitting_hz: float) -> float:
 PRESET_SPLITTING_HZ = 3.12e9
 
 #: Effective MW g-factors, the coupling along the MW field, per preset.
+#: Only the ground entry enters a calculation (the resonator's conversion
+#: calibration); the excited one is kept beside it as the reference for the
+#: Rabi frequencies below, whose ratio departs from 0.95 / 1.6.
 PRESET_G_MW = {
     GROUND_CONFIG: 1.6,
     EXCITED_CONFIG: 0.95,

@@ -5,17 +5,15 @@ indentation change touches it; a string token counts on every line it
 spans, unless it is a docstring (the first statement of a module, class
 or function body, when that statement is a lone string).  Run it as
 
-    python tests/code_lines.py [package directory]
+    python tests/code_lines.py
 
-to print each module's count and the total; the directory defaults to
-``src/erspin_sim`` beside this file's parent.
+to print the count of each module of ``src/erspin_sim`` and the total.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -52,10 +50,9 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> None:
-    package = Path(argv[0]) if argv else PACKAGE
+def main() -> None:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         n = code_lines(path.read_text())
         total += n
         print(f"{n:6d}  {path.name}")
@@ -63,4 +60,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

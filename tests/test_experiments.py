@@ -235,21 +235,33 @@ def test_artifacts_are_rewritten_in_place_not_truncated(tmp_path, monkeypatch):
 
 
 def test_repr_runs_once_per_distinct_magnitude(tmp_path, monkeypatch):
-    calls = []
+    columns, calls = [], []  # each column run passes to _reprs, and the repr calls made inside it
+    inside = False
+    reprs = experiments._reprs
 
-    def counting_repr(value):
-        calls.append(value)
+    def spy_reprs(v):
+        nonlocal inside
+        columns.append(v.copy())
+        calls.append(0)
+        inside = True
+        try:
+            return reprs(v)
+        finally:
+            inside = False
+
+    def counting_repr(value):  # _format_value calls repr too: count only the calls inside _reprs
+        if inside:
+            calls[-1] += 1
         return builtins.repr(value)
 
-    path = tmp_path / "pumping-efficiency_trace.csv"
+    monkeypatch.setattr(experiments, "_reprs", spy_reprs)
+    monkeypatch.setattr(experiments, "repr", counting_repr, raising=False)
     experiments.run(experiments.build_config("pumping-efficiency", output_dir=tmp_path))
-    x, y = read_trace_csv(path)
+    x, y = read_trace_csv(tmp_path / "pumping-efficiency_trace.csv")
+    assert len(columns) == 2 and all(np.array_equal(c, v) for c, v in zip(columns, (x, y)))
     distinct = [np.unique(np.abs(v)).size for v in (x, y)]
     assert distinct == [2001, 2008]  # a mirror-symmetric profile of 4001 points
-    monkeypatch.setattr(experiments, "repr", counting_repr, raising=False)  # _format_value calls repr too
-    rows = experiments._csv_rows(x, y)
-    assert len(calls) == sum(distinct)
-    assert path.read_text().endswith(rows)
+    assert calls == distinct
 
 
 # zeros, infinities, nan, the smallest subnormal and a larger one, a normal float
