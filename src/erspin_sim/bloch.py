@@ -156,7 +156,10 @@ def _folded(spec: EnsembleSpec):
 def _detuning_grid(line: LineShape, n: int, span_fwhm: float):
     if n == 1:
         return np.array([line.center]), np.array([1.0])
-    f = line.center + np.linspace(-span_fwhm * line.fwhm, span_fwhm * line.fwhm, n)
+    half = span_fwhm * line.fwhm
+    if not math.isfinite(2.0 * half):  # np.linspace steps across the full width
+        raise ValueError(f"span_fwhm = {span_fwhm:g} widths of line_fwhm_hz = {line.fwhm:g} give no finite grid ends")
+    f = line.center + np.linspace(-half, half, n)
     w = np.asarray(line_value(line, f)).copy()
     w[0] *= 0.5
     w[-1] *= 0.5  # trapezoid end weights

@@ -3,8 +3,9 @@
 Each experiment resolves defaults (preset-dependent where sensible) and
 overrides.  Its ``build(params)`` makes every domain object and grid,
 so their invariants and the cross-key checks run, and returns ``measure()``
-for the kernels and the fit.  ``build_config`` builds to validate; ``run``
-builds again, measures and writes two artifacts into the output directory:
+for the kernels and the fit.  ``build_config`` builds once and returns a
+frozen config that holds that ``measure()``; ``run`` calls it and writes
+two artifacts into the output directory:
 
 * ``<experiment>_trace.csv``   the primary trace: ``#``-prefixed metadata
   lines, then the column header and one ``x,y`` row per point, each value
@@ -21,8 +22,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -149,7 +152,7 @@ def _grid(space, start, stop, num, size_key: str, ends_key: str | None = None) -
 
 def _check_rate_time(rp, t, time_key: str):
     """Reject a propagation over ``t`` seconds that :func:`pumping.expm` does not resolve."""
-    qt = pumping.max_exit_rate(rp) * t
+    qt = pumping.max_exit_rate(rp) * float(t)  # a numpy scalar t would warn where the product overflows
     if not qt <= pumping.MAX_RATE_TIME:
         raise ValueError(
             f"{time_key} times the fastest exit rate of the rate keys (pump_rate_flip, pump_rate_preserve, "
@@ -507,14 +510,19 @@ EXPERIMENTS = {
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved configuration for one experiment run."""
+    """Fully resolved configuration for one experiment run, and the ``measure()`` its build returned.
+
+    Frozen, with read-only ``params``, so that what ``run`` measures and
+    writes into the trace header is what ``build_config`` checked.
+    """
 
     experiment: str
     preset: str
-    params: dict
+    params: MappingProxyType
     output_dir: Path
+    measure: Callable = field(repr=False, compare=False)
 
 
 def build_config(
@@ -525,13 +533,14 @@ def build_config(
 ) -> ExperimentConfig:
     """Resolve defaults, file values and overrides into a validated config.
 
+    The experiment is built once, here; the config holds its ``measure()``.
     Raises :class:`ConfigError` naming the offending key for unknown keys,
     unparsable values, range violations, a mismatched ``experiment`` line
     or an input the build rejects.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}")
-    _, schema = EXPERIMENTS[experiment]
+    build, schema = EXPERIMENTS[experiment]
 
     raw: dict[str, str] = {}
     if config_text is not None:
@@ -549,18 +558,11 @@ def build_config(
             raise ConfigError(key, f"unknown key for experiment {experiment!r}")
         params[key] = schema[key].parse(key, value)
 
-    cfg = ExperimentConfig(experiment=experiment, preset=preset, params=params, output_dir=Path(output_dir))
-    _build(cfg)
-    return cfg
-
-
-def _build(cfg: ExperimentConfig):
-    """The experiment's ``measure()``; an input its build rejects is a :class:`ConfigError`."""
-    build, _ = EXPERIMENTS[cfg.experiment]
     try:
-        return build(cfg.params)
+        measure = build(params)
     except ValueError as exc:
-        raise ConfigError(cfg.experiment, str(exc)) from exc
+        raise ConfigError(experiment, str(exc)) from exc
+    return ExperimentConfig(experiment, preset, MappingProxyType(params), Path(output_dir), measure)
 
 
 def _format_value(value) -> str:
@@ -624,23 +626,26 @@ def _write(path: Path, text: str) -> None:
 
 
 def run(cfg: ExperimentConfig) -> dict:
-    """Execute the experiment and write trace + summary files.
+    """Measure the experiment ``cfg`` was built for and write trace + summary files.
 
     Returns the summary mapping.  Output files are
     ``<experiment>_trace.csv`` and ``<experiment>_summary.txt`` inside
     ``cfg.output_dir`` (created if needed), each built as one string and
     written by :func:`_write`, so a rerun over earlier files gives the
-    bytes of a fresh run.  The build runs again, so a hand-made config is
-    checked too.  Raises :class:`FloatingPointError`, before anything is
-    written, when a float summary value is not finite.
+    bytes of a fresh run.  Raises :class:`FloatingPointError`, before
+    anything is written, when a float summary value or a trace value is
+    not finite.
     """
-    summary, trace = _build(cfg)()
+    with np.errstate(all="ignore"):  # the fit and the checks below refuse every inf or nan it yields
+        summary, (xname, yname, x, y) = cfg.measure()
     bad = [key for key, value in summary.items() if isinstance(value, float) and not math.isfinite(value)]
     if bad:
         raise FloatingPointError(f"non-finite summary values: {', '.join(bad)}")
+    bad = [name for name, column in ((xname, x), (yname, y)) if not np.all(np.isfinite(column))]
+    if bad:
+        raise FloatingPointError(f"non-finite trace values: {', '.join(bad)}")
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    xname, yname, x, y = trace
     head = [f"experiment = {cfg.experiment}\n", f"preset = {cfg.preset}\n"]
     keys = [f"{key} = {_format_value(cfg.params[key])}\n" for key in sorted(cfg.params)]
     trace_text = "# " + "# ".join(head + keys) + f"{xname},{yname}\n" + _csv_rows(x, y)

@@ -586,3 +586,27 @@ class TestPulse:
         assert all(a == b for a, b in zip(one, bloch._pulse(om, dw, duration)))
         for a, b in zip(two, bloch._pulse(om, dw, 2.0 * duration)):
             assert abs(a - b) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bloch.Pulse(rabi=-1.0, duration=1e-7), "rabi must be >= 0"),
+        (lambda: bloch.Pulse(rabi=OMEGA_GROUND, duration=-1e-7), "duration must be >= 0"),
+        (lambda: bloch.AmplitudeSpread(-0.01), "half_width must be >= 0"),
+        (lambda: bloch.EnsembleSpec(n_samples=0), "n_samples must be >= 1"),
+        (lambda: bloch.EnsembleSpec(span_fwhm=0.0), "span_fwhm must be > 0"),
+        (lambda: bloch.EnsembleSpec(span_fwhm=1.7e308), "span_fwhm = 1.7e\\+308 .* no finite grid ends"),
+        (lambda: bloch.rabi_trace(spec_no_spread(n=11), OMEGA_GROUND, []), "t_grid must be a non-empty 1-d array"),
+        (lambda: bloch.pi_fidelity_center(0.0, bloch.AmplitudeSpread()), "rabi must be > 0"),
+        (lambda: bloch.pi_fidelity_avg(0.0, spec_no_spread(n=11)), "rabi must be > 0"),
+        (lambda: bloch.ramsey_trace(spec_no_spread(n=11), 0.0, np.linspace(0.0, 1e-7, 16)), "rabi must be > 0"),
+    ],
+    ids=[
+        "pulse-rabi", "pulse-duration", "spread", "no-nodes", "zero-span", "span-overflow", "empty-time-axis",
+        "center-rabi", "average-rabi", "two-pulse-rabi",
+    ],
+)
+def test_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -139,6 +139,13 @@ class TestExitCodes:
             # weights and no numpy warning, the filter turning any warning into an error
             pytest.param(["rabi", "--set", "n_samples=2", "--set", "line_kind=gaussian"], "n_samples",
                          marks=pytest.mark.filterwarnings("error")),
+            # the rate-time product overflows: the config error alone, with no numpy warning before it
+            pytest.param(["holeburn", "--set", "wait_max_s=1.7e308"], "wait_max_s",
+                         marks=pytest.mark.filterwarnings("error")),
+            # the detuning grid's ends overflow, which is no odd-or-even matter of n_samples
+            pytest.param(["rabi", "--set", "span_fwhm=1.7e308", "--set", "n_samples=101"], "span_fwhm",
+                         marks=pytest.mark.filterwarnings("error")),
+            (["resonator", "--set", f"f0_hz={FLOAT_MAX}", "--set", "span_hz=1e308"], "f0_hz"),
         ],
         ids=[
             "wait-order", "wait-overflow", "wait-overflow-one-line", "tau-order", "echo-zero-span",
@@ -147,6 +154,7 @@ class TestExitCodes:
             "no-drive", "no-rates", "no-pump", "burn-rate-time", "wait-rate-time", "no-conversion",
             "zero-temperature",
             "ramsey-grid-period", "ramsey-grid-period-coarse", "echo-grid-period", "gaussian-two-nodes",
+            "wait-rate-time-overflow", "detuning-span-overflow", "resonator-infinite-end",
         ],
     )
     def test_build_rejects_inputs_its_grids_cannot_take(self, tmp_path, capsys, argv, key):
@@ -178,15 +186,21 @@ class TestExitCodes:
             (["resonator", "--set", "span_hz=1e3"], None, "residual norm"),
             # one detuning node: the trace does not dephase, so it holds no decay time
             (["ramsey", "--set", "n_samples=1"], None, "t2_star_s"),
+            # the drive overflows the kernel's rotations, so the trace the fit gets is not finite
+            (["rabi", "--set", "rabi_frequency_hz=1e300"], None, "trace contains non-finite values"),
+            # the set period's rise, 1e305 K, is finite, but the sweep's faster rates overflow: only the trace is not
+            (["heating-budget", "--set", "slope_k_per_w=1e10", "--set", "p_peak_w=1e300", "--set", "pulse_len_s=1e-5",
+              "--set", "rep_period_s=1"], None, "non-finite trace values: delta_t_k"),
             # a line far wider than the sweep: the trace is flat, with no center or width
             (["resonator", "--set", "fwhm_hz=1e300"], None, "f0_hz, fwhm_hz"),
         ],
         ids=[
             "quadrature", "optimizer", "non-finite-summary", "zero-peak-power", "line-overflow", "one-frequency",
             "profile-span-overflow", "profile-underflow", "growing-fit", "narrow-sweep", "flat-ramsey",
-            "flat-resonator",
+            "rabi-overflow", "heating-trace-overflow", "flat-resonator",
         ],
     )
+    @pytest.mark.filterwarnings("error")  # the diagnostic alone, with no numpy warning before it
     def test_numerical_error_maps_to_exit_3(self, tmp_path, monkeypatch, capsys, argv, stall, message):
         from erspin_sim.bloch import ConvergenceError
 
@@ -199,7 +213,7 @@ class TestExitCodes:
             monkeypatch.setattr(fitting, "MAX_EVALS", 1)
         assert cli.main([*argv, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "numerical error" in err and message in err
+        assert err.count("\n") == 1 and "numerical error" in err and message in err
         assert not any(tmp_path.iterdir())  # no trace or summary written
 
     # sweeps of 0.33, 1.33 and 1.4 line widths, most of whose samples sit near the peak
@@ -269,7 +283,7 @@ class TestFuzzedOverrides:
     # 1200 probe_width_hz / line_fwhm_hz + 1, which the build's
     # 6 probe_width_hz <= 20 line_fwhm_hz check keeps to at most 4001 as
     # well, so no drawn value makes it allocate much.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "experiment", [*SMALL_GRIDS, "holeburn", "resonator", "heating-budget", "pumping-efficiency"]
     )

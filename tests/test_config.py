@@ -134,3 +134,13 @@ class TestBuildConfig:
         assert math.isinf(cfg.params["t2_s"])
         with pytest.raises(ConfigError, match="ideal_pulses"):
             experiments.build_config("ramsey", set_overrides={"ideal_pulses": "yes"})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("schema_version = 1\n= 3\n", "line 2: empty key"), ("schema_version = 1\n  =3 # no key\n", "line 2: empty key")],
+    ids=["empty-key", "blank-key"],
+)
+def test_malformed_text_names_its_line(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)

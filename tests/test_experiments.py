@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import math
 import os
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from erspin_sim import experiments, pumping
+from erspin_sim import cli, experiments, pumping
 from erspin_sim.config import ConfigError
 from trace_csv import read_trace_csv
 
@@ -151,12 +152,28 @@ def test_excited_preset_rabi_roundtrip(tmp_path):
     assert s["pi_fidelity_line_avg"] < 0.6  # slower drive over the same line
 
 
-def test_run_checks_a_config_changed_after_build_config(tmp_path):
-    cfg = experiments.build_config("echo", output_dir=tmp_path)
-    cfg.params["tau_min_s"] = 2e-6  # past tau_max_s
-    with pytest.raises(ConfigError, match="tau_min_s"):
-        experiments.run(cfg)
-    assert not any(tmp_path.iterdir())
+def test_config_cannot_change_after_build_config():
+    """What ``run`` measures and writes is what ``build_config`` checked: neither the config nor its params change."""
+    cfg = experiments.build_config("echo")
+    with pytest.raises(TypeError):
+        cfg.params["tau_min_s"] = 2e-6  # past tau_max_s
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.params = {**cfg.params, "tau_min_s": 2e-6}
+    assert cfg.params["tau_min_s"] == 1e-8
+
+
+def test_each_run_builds_once(tmp_path, monkeypatch):
+    builds = []
+    build, schema = experiments.EXPERIMENTS["heating-budget"]
+
+    def counted(params):
+        builds.append(params)
+        return build(params)
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "heating-budget", (counted, schema))
+    for n in (1, 2):
+        assert cli.main(["heating-budget", "--out", str(tmp_path)]) == 0
+        assert len(builds) == n
 
 
 @pytest.mark.parametrize("experiment", ["ramsey", "echo"])

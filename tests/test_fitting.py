@@ -531,3 +531,34 @@ class TestConvergence:
             ref = ref + np.linalg.lstsq(jac, v - model_v, rcond=None)[0]
         for name, (at, bound) in checks.items():
             assert got[name] == pytest.approx(ref[at] / xs, rel=bound), name
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        [np.arange(8.0), np.arange(8.0)],
+        (np.arange(8.0),),
+        (np.arange(8.0), np.arange(7.0)),
+        (np.ones((2, 4)), np.ones((2, 4))),
+    ],
+    ids=["list", "one-array", "unequal-lengths", "2-d"],
+)
+def test_malformed_trace_is_a_fit_error(trace):
+    with pytest.raises(fitting.FitError, match="trace must be a tuple"):
+        fitting.fit(trace, "lorentzian")
+
+
+@pytest.mark.parametrize(
+    "model, p, folded",
+    [
+        # cos(-2 pi f u + phi) = cos(2 pi f u - phi)
+        ("sinusoid-decay", [0.5, -2.0, 0.25, 0.1, 0.0], [0.5, 2.0, -0.25, 0.1, 0.0]),
+        ("sinusoid-decay", [0.5, 2.0, 0.25 + 2.0 * math.pi, 0.1, 0.0], [0.5, 2.0, 0.25, 0.1, 0.0]),
+        ("lorentzian", [1.0, 3.0, -0.5, 0.2], [1.0, 3.0, 0.5, 0.2]),
+        # a negative rate is a growing trace, not a fold
+        ("single-exponential", [1.0, -2.0, 0.0], [1.0, -2.0, 0.0]),
+    ],
+    ids=["negative-frequency", "phase-turn", "negative-width", "growing-exponential"],
+)
+def test_canonical_folds_the_symmetries(model, p, folded):
+    assert fitting._canonical(model, p) == pytest.approx(folded, abs=1e-15)

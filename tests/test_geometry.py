@@ -16,3 +16,13 @@ class TestZeemanSplitting:
 class TestPresets:
     def test_preset_g_factors(self):
         assert geometry.PRESET_G_MW == {geometry.GROUND_CONFIG: 1.6, geometry.EXCITED_CONFIG: 0.95}
+
+
+@pytest.mark.parametrize(
+    "g_eff, splitting_hz, message",
+    [(0.0, 3.12e9, "g_eff must be > 0"), (-1.6, 3.12e9, "g_eff must be > 0"), (1.6, -1.0, "splitting must be >= 0")],
+    ids=["zero-g", "negative-g", "negative-splitting"],
+)
+def test_field_for_splitting_checks_its_inputs(g_eff, splitting_hz, message):
+    with pytest.raises(ValueError, match=message):
+        geometry.field_for_splitting(g_eff, splitting_hz)

@@ -333,3 +333,17 @@ class TestStateValidation:
             pumping.RateParams(pump_rate_flip=-1.0)
         with pytest.raises(ValueError):
             pumping.RateParams(temperature=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pumping.RateParams(splitting=-1.0), "splitting must be >= 0"),
+        (lambda: pumping.FourLevelState((0.5, 0.5, 0.0)), "need exactly four populations"),
+        (lambda: pumping.FourLevelState((0.5, 0.5, 0.0, 0.0, 0.0)), "need exactly four populations"),
+    ],
+    ids=["negative-splitting", "three-populations", "five-populations"],
+)
+def test_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

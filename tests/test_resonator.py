@@ -127,3 +127,20 @@ class TestFieldHomogeneity:
             resonator.ResonatorParams(conversion=0.0)
         with pytest.raises(ValueError):
             resonator.HeatingModel(slope=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: resonator.ResonatorParams(conversion=1e-5, f0=0.0), "f0 and fwhm must be > 0"),
+        (lambda: resonator.ResonatorParams(conversion=1e-5, fwhm=-1.0), "f0 and fwhm must be > 0"),
+        (lambda: resonator.ResonatorParams(conversion=1e-5, insertion_loss_db=-1.0), "insertion_loss_db must be >= 0"),
+        (lambda: resonator.heating_budget(resonator.HeatingModel(), 100.0, 0.0, 1e-3), "pulse_len must be > 0"),
+        (lambda: resonator.heating_budget(resonator.HeatingModel(), 100.0, math.nan, 1e-3), "pulse_len must be > 0"),
+        (lambda: resonator.heating_budget(resonator.HeatingModel(), -1.0, 33e-9, 1e-3), "p_peak must be >= 0"),
+    ],
+    ids=["zero-f0", "negative-fwhm", "negative-loss", "zero-pulse", "nan-pulse", "negative-power"],
+)
+def test_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

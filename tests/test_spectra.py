@@ -202,3 +202,22 @@ class TestSpectrumProfile:
         assert np.array_equal(freq, prof.freq_hz)
         assert np.array_equal(alpha, prof.alpha)
 
+
+
+FLAT = spectra.SpectrumProfile(np.arange(5.0), np.full(5, 0.04))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: spectra.ReadoutModel(probe_width=0.0), "probe_width must be > 0"),
+        (lambda: spectra.SpectrumProfile(np.arange(3.0), np.zeros(2)), "1-d arrays of equal length"),
+        (lambda: spectra.SpectrumProfile(np.ones((2, 3)), np.ones((2, 3))), "1-d arrays of equal length"),
+        (lambda: spectra.profile_fwhm(FLAT), "flat profile has no width"),
+        (lambda: spectra.hole_area_ratio(FLAT, FLAT), "hole profile has zero area"),
+    ],
+    ids=["probe-width", "unequal-lengths", "2-d", "flat-width", "flat-hole"],
+)
+def test_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
