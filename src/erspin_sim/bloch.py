@@ -159,7 +159,10 @@ def _detuning_grid(line: LineShape, n: int, span_fwhm: float):
     half = span_fwhm * line.fwhm
     if not math.isfinite(2.0 * half):  # np.linspace steps across the full width
         raise ValueError(f"span_fwhm = {span_fwhm:g} widths of line_fwhm_hz = {line.fwhm:g} give no finite grid ends")
-    f = line.center + np.linspace(-half, half, n)
+    try:
+        f = line.center + np.linspace(-half, half, n)
+    except (ValueError, MemoryError) as exc:  # a size numpy cannot allocate
+        raise ValueError(f"n_samples: {exc}") from None
     w = np.asarray(line_value(line, f)).copy()
     w[0] *= 0.5
     w[-1] *= 0.5  # trapezoid end weights

@@ -322,36 +322,33 @@ def _build_pumping_efficiency(params):
     burn = params["burn_duration_s"]
     line = spectra.LineShape(params["line_kind"], params["line_fwhm_hz"])
     rm = spectra.ReadoutModel(baseline_absorption=params["baseline_absorption"], probe_width=params["probe_width_hz"])
-    # antihole_spectra convolves a +-6 probe-width kernel over its profile grid
-    if not 6.0 * rm.probe_width <= spectra.PROFILE_SPAN_FWHM * line.fwhm:
-        raise ValueError(f"probe_width_hz must be <= {spectra.PROFILE_SPAN_FWHM:g}/6 line_fwhm_hz")
+    # antihole_spectra convolves a kernel of +-widths probe widths over its profile grid of +-span line widths
+    widths, span = spectra.PROBE_KERNEL_WIDTHS, spectra.PROFILE_SPAN_FWHM
+    if not widths * rm.probe_width <= span * line.fwhm:
+        raise ValueError(f"probe_width_hz must be <= {span:g}/{widths:g} line_fwhm_hz")
     _check_rate_time(rp, burn, "burn_duration_s")  # rp_hole empties no state faster
 
     def measure():
-        # one flip burn gives both efficiencies and the target population
+        # one flip burn gives both efficiencies and the target population; no pump rate enters the thermal
+        # state, so the hole burn starts from it too
         thermal = pumping.thermal_state(rp)
-        burned = pumping.evolve(thermal, rp, burn)
-        eff_th = pumping.transfer_efficiency(burned, thermal, baseline="thermal")
-        eff_up = pumping.transfer_efficiency(burned, thermal, baseline="unpolarized")
+        p_th = thermal.populations[0]
+        p_anti = pumping.evolve(thermal, rp, burn).populations[0]
+        depletion = p_th - pumping.evolve(thermal, rp_hole, burn).populations[0]
+        # the normalized excess over the thermal population: nothing to gain when that is all of g_low
+        eff_th = (p_anti - p_th) / (1.0 - p_th) if p_th < 1.0 else math.nan
         antihole, unit_hole = spectra.antihole_spectra(line, (max(min(eff_th, 1.0), -1.0), -1.0), rm)
-        area_ratio = spectra.hole_area_ratio(unit_hole, antihole)
-
-        p_th = thermal.as_array()
-        p_anti = burned.as_array()
-        p_hole = pumping.evolve(pumping.thermal_state(rp_hole), rp_hole, burn).as_array()
-        depletion = p_th[0] - p_hole[0]
-        ratio_same_burn = (p_anti[0] - p_th[0]) / depletion if depletion > 0 else math.nan
 
         summary = {
             "efficiency_thermal_baseline": eff_th,
-            "efficiency_unpolarized_baseline": eff_up,
-            "area_ratio_vs_unit_hole": area_ratio,
-            "area_ratio_same_burn_populations": float(ratio_same_burn),
+            "efficiency_unpolarized_baseline": (p_anti - 0.5) / 0.5,
+            "area_ratio_vs_unit_hole": spectra.hole_area_ratio(unit_hole, antihole),
+            "area_ratio_same_burn_populations": (p_anti - p_th) / depletion if depletion > 0 else math.nan,
             # a burn that moves nothing, or a baseline so small that the
             # excess underflows, leaves a flat profile, which has no width
             "antihole_fwhm_hz": spectra.profile_fwhm(antihole) if np.ptp(antihole.alpha) > 0 else math.nan,
-            "target_population_after_burn": float(p_anti[0]),
-            "thermal_target_population": float(p_th[0]),
+            "target_population_after_burn": p_anti,
+            "thermal_target_population": p_th,
         }
         return summary, ("frequency_hz", "value", antihole.freq_hz, antihole.alpha)
 

@@ -23,7 +23,10 @@ the Lorentzian), every candidate going through the same closed form, a
 block of them per call, with the sinusoid frequency at the discrete
 spectrum peak and the Lorentzian center at the point farthest from the
 mean of the two end samples, which stays on the peak when most samples
-lie near it.  A Levenberg-Marquardt search refines it.  The biexponential's
+lie near it.  A Levenberg-Marquardt search refines it, and each model's
+own map from its nonlinear parameters and amplitudes to its named
+parameters folds its symmetries: a frequency and a Lorentzian width are
+reported non-negative, the phase at the first sample in [-pi, pi).  The biexponential's
 columns are its two exponentials' mean and first divided difference,
 e^(-mu) cosh(du) and e^(-mu) sinh(du)/d for rates m -+ d, which stay two
 columns as the rates merge (Hochbruck and Ostermann, Acta Numerica 19,
@@ -69,7 +72,6 @@ class FitError(RuntimeError):
 class FitResult:
     """A fit's named parameters, the sigmas of those that its nonlinear parameters fix, and its residual norm."""
 
-    model: str
     parameters: dict[str, float]
     uncertainties: dict[str, float]
     residual_norm: float
@@ -131,6 +133,19 @@ def _lorentzians(q, u):
     return np.divide(1.0, out, out=out)
 
 
+def _sinusoid_of(q, a, c):
+    """amplitude, frequency, phase, decay rate and offset from the amplitudes ``a`` of :func:`_damped_cosines`.
+
+    a cos(t + phi) = a cos(phi) cos(t) - a sin(phi) sin(t), and
+    cos(-2 pi f u + phi) = cos(2 pi f u - phi): a negative frequency is
+    reported as |f| with the phase negated, and the phase turned into
+    [-pi, pi).
+    """
+    phase = np.arctan2(-a[..., 1], a[..., 0])
+    phase = np.remainder(np.where(q[..., 0] < 0, -phase, phase) + np.pi, 2.0 * np.pi) - np.pi
+    return [np.hypot(a[..., 0], a[..., 1]), np.abs(q[..., 0]), phase, q[..., 1], c]
+
+
 def _spectrum_peak(u, v):
     """The frequency of the discrete spectrum peak; u spans 1 in len(u) - 1 steps."""
     return [(1 + int(np.argmax(np.abs(np.fft.rfft(v - v.sum() / len(v))[1:])))) * (len(u) - 1) / len(u)]
@@ -156,27 +171,30 @@ _BLOCK = 1024
 
 # name: (parameter names, basis, the search's start q from (u, v),
 # parameters from (q, amplitudes, offset), each over the leading axes of
-# q (..., p) and the amplitudes (..., k))
+# q (..., p) and the amplitudes (..., k)).  The parameters come with the
+# model's symmetries folded: frequency and Lorentzian width non-negative.
+# Rates keep their signs, since the bases take them signed: a negative rate
+# is a growing trace.
 _MODELS = {
     "single-exponential": (
         ("amplitude", "rate", "offset"), _exponentials, lambda u, v: _seed(_exponentials, _SINGLES, [], u, v),
         lambda q, a, c: [a[..., 0], q[..., 0], c],
     ),
     "biexponential": (("amp1", "rate1", "amp2", "rate2", "offset"), _mean_and_product, _pair_seed, _rates_of),
-    "sinusoid-decay": (  # a cos(t + phi) = a cos(phi) cos(t) - a sin(phi) sin(t)
+    "sinusoid-decay": (
         ("amplitude", "frequency", "phase", "decay_rate", "offset"), _damped_cosines,
-        lambda u, v: _seed(_damped_cosines, _SINGLES, _spectrum_peak(u, v), u, v),
-        lambda q, a, c: [np.hypot(a[..., 0], a[..., 1]), q[..., 0], np.arctan2(-a[..., 1], a[..., 0]), q[..., 1], c],
+        lambda u, v: _seed(_damped_cosines, _SINGLES, _spectrum_peak(u, v), u, v), _sinusoid_of,
     ),
     "lorentzian": (
         ("amplitude", "center", "fwhm", "offset"), _lorentzians,
         lambda u, v: _seed(_lorentzians, _SINGLES, [u[np.argmax(np.abs(v - 0.5 * (v[0] + v[-1])))]], u, v),
-        lambda q, a, c: [a[..., 0], q[..., 0], 1.0 / q[..., 1], c],
+        lambda q, a, c: [a[..., 0], q[..., 0], np.abs(1.0 / q[..., 1]), c],
     ),
 }
 
 MODEL_NAMES = tuple(_MODELS)
 _LINEAR = {"amplitude", "amp1", "amp2", "offset"}  # the parameters that variable projection solves for
+_TAUS = {"rate": "tau", "rate1": "tau_slow", "rate2": "tau_fast"}  # the time constant reported beside each rate
 
 
 def _dot(a, b):
@@ -339,9 +357,13 @@ def fit(trace, model: str) -> FitResult:
     of the exponential and sinusoid-decay models are their decaying parts at
     x[0].  Phases and Lorentzian centers refer to x itself.
 
-    Exponential models report time constants ``tau`` (and
-    ``tau_slow``/``tau_fast``, sorted) alongside the raw rates, which keep
-    their signs; a rate <= 0, a trace that does not decay, has tau = inf.
+    Each model's map to its named parameters folds its own symmetries:
+    the sinusoid-decay reports |f|, with its phase at x[0] negated for a
+    negative f and turned into [-pi, pi) before it is carried to x = 0,
+    and the Lorentzian |fwhm|.  Rates keep their signs.  Exponential
+    models report time constants ``tau`` (and ``tau_slow``/``tau_fast``,
+    sorted) alongside the raw rates, from one rate-to-tau table; a rate
+    <= 0, a trace that does not decay, has tau = inf.
 
     The biexponential is searched over the mean m and product p of its
     rates, rate1 = m - d <= rate2 = m + d with d = sqrt(m^2 - p), so rates
@@ -398,9 +420,9 @@ def fit(trace, model: str) -> FitResult:
     def named_of(t):
         return np.stack(np.broadcast_arrays(*named(t, alpha, offset)), axis=-1)
 
-    p = named_of(q)
-    to_named = _jacobian(named_of, q, p)
-    popt, sigma = _canonical(model, p), np.sqrt(np.clip(np.einsum("ip,ij,jp->p", to_named, cov, to_named), 0, None))
+    popt = named_of(q)
+    to_named = _jacobian(named_of, q, popt)
+    sigma = np.sqrt(np.clip(np.einsum("ip,ij,jp->p", to_named, cov, to_named), 0, None))
     scale, shift = _param_map(names, x0, xs, ys, dict(zip(names, popt)).get("frequency", 0.0) / xs)
     params = dict(zip(names, (scale * popt + shift).tolist()))
     uncert = {name: s for name, s in zip(names, (scale * sigma).tolist()) if name not in _LINEAR | {"phase"}}
@@ -408,24 +430,8 @@ def fit(trace, model: str) -> FitResult:
         for name in set(names) - _LINEAR:
             params[name] = np.nan
         uncert = dict.fromkeys(uncert, np.nan)
-    _add_time_constants(model, params, uncert)
-    return FitResult(model=model, parameters=params, uncertainties=uncert, residual_norm=float(np.sqrt(rr)) * ys)
-
-
-def _canonical(model, p):
-    """Fold the symmetries: frequency and Lorentzian width non-negative.
-
-    Rates keep their signs, since the bases take them signed: a negative
-    rate is a growing trace.
-    """
-    p = np.array(p, dtype=float)
-    if model == "sinusoid-decay":
-        if p[1] < 0:  # cos(-2 pi f u + phi) = cos(2 pi f u - phi)
-            p[1], p[2] = -p[1], -p[2]
-        p[2] = float(np.remainder(p[2] + np.pi, 2.0 * np.pi) - np.pi)
-    elif model == "lorentzian":
-        p[2] = abs(p[2])
-    return p
+    _add_time_constants(params, uncert)
+    return FitResult(parameters=params, uncertainties=uncert, residual_norm=float(np.sqrt(rr)) * ys)
 
 
 def _param_map(names, x0, xs, ys, freq):
@@ -440,16 +446,10 @@ def _param_map(names, x0, xs, ys, freq):
     return np.array([table[name] for name in names]).T
 
 
-def _add_time_constants(model, params, uncert):
-    def tau_of(rate_key, tau_key):
-        r = params[rate_key]
-        params[tau_key] = 1.0 / r if r > 0 else np.inf
-        sr = uncert[rate_key]
-        uncert[tau_key] = sr / r**2 if r > 0 and r**2 > 0 else np.inf  # r**2 underflows below ~1e-154
-
-    if model == "single-exponential":
-        tau_of("rate", "tau")
-    elif model == "biexponential":
-        tau_of("rate1", "tau_slow")
-        tau_of("rate2", "tau_fast")
-
+def _add_time_constants(params, uncert):
+    """Add tau = 1/rate and its sigma beside each rate of :data:`_TAUS`; a rate <= 0 has tau = inf."""
+    for rate_key, tau_key in _TAUS.items():
+        if rate_key in params:
+            r, sr = params[rate_key], uncert[rate_key]
+            params[tau_key] = 1.0 / r if r > 0 else np.inf
+            uncert[tau_key] = sr / r**2 if r > 0 and r**2 > 0 else np.inf  # r**2 underflows below ~1e-154

@@ -232,16 +232,3 @@ def antihole_trace(rp: RateParams, burn_duration: float, wait_grid) -> tuple[np.
     # free evolution keeps the thermal state (detailed balance), so it acts on the excess alone
     free = expm(rate_generator(rp.pumps_off()) * waits[:, None, None])  # one call for every wait
     return waits, (free @ excess)[:, 0]
-
-
-def transfer_efficiency(burned: FourLevelState, thermal: FourLevelState, baseline: str = "thermal") -> float:
-    """Normalized excess of the target state g_low in ``burned`` over ``thermal``.
-
-    ``(p_target - ref) / (1 - ref)`` with ``ref`` the thermal target
-    population (``baseline="thermal"``) or 1/2 (``"unpolarized"``).  NaN when
-    ``ref`` is 1: a thermal state already all in g_low has nothing to gain.
-    """
-    if baseline not in ("thermal", "unpolarized"):
-        raise ValueError("baseline must be 'thermal' or 'unpolarized'")
-    ref = thermal.populations[0] if baseline == "thermal" else 0.5
-    return (burned.populations[0] - ref) / (1.0 - ref) if ref < 1.0 else math.nan

@@ -19,6 +19,9 @@ LINE_KINDS = ("lorentzian", "gaussian")
 #: Half span of a hole/antihole profile, in line widths each side.
 PROFILE_SPAN_FWHM = 20.0
 
+#: Half width of the probe convolution kernel, in probe widths each side.
+PROBE_KERNEL_WIDTHS = 6.0
+
 #: Profile grid points per line width.
 PROFILE_POINTS_PER_FWHM = 100
 
@@ -126,8 +129,8 @@ def antihole_spectra(spin_line: LineShape, polarizations, rm: ReadoutModel) -> l
     f = spin_line.center + step * np.arange(-k, k + 1)
 
     shape = np.asarray(line_value(spin_line, f))
-    # probe convolution on the same uniform grid, kernel truncated at +-6 widths
-    kern_half = 6.0 * rm.probe_width
+    # probe convolution on the same uniform grid, kernel truncated at +-PROBE_KERNEL_WIDTHS widths
+    kern_half = PROBE_KERNEL_WIDTHS * rm.probe_width
     m = max(int(round(kern_half / step)), 1)
     fk = np.arange(-m, m + 1) * step
     kernel = np.asarray(line_value(LineShape("gaussian", rm.probe_width), fk))

@@ -109,9 +109,13 @@ class TestExitCodes:
             (["holeburn", "--set", "wait_min_s=0.01", "--set", "wait_max_s=0.01"], "wait_min_s"),
             (["resonator", "--set", "f0_hz=1e8"], "f0_hz"),
             (["pumping-efficiency", "--set", "probe_width_hz=1e8"], "probe_width_hz"),
-            # numpy rejects both sizes before it allocates anything
+            # numpy rejects these sizes before it allocates anything: 1e18 doubles it cannot allocate, 1e20 past its
+            # largest array
             (["heating-budget", "--set", "points=100000000000000000000"], "points"),
             (["rabi", "--set", "trace_points=1000000000000000000"], "trace_points"),
+            *(([experiment, "--set", f"n_samples={size}"], "n_samples")
+              for experiment in ("rabi", "ramsey", "echo")
+              for size in ("1000000000000000000", "100000000000000000000")),
             (["rabi", "--set", "trace_periods=inf"], "trace_periods"),
             # fewer than two samples per drive period alias the Rabi oscillation
             (["rabi", "--set", "trace_points=16"], "trace_points"),
@@ -150,6 +154,8 @@ class TestExitCodes:
         ids=[
             "wait-order", "wait-overflow", "wait-overflow-one-line", "tau-order", "echo-zero-span",
             "echo-rounding-floor", "holeburn-zero-span", "span", "probe-kernel", "size", "memory",
+            *(f"{experiment}-n-samples-{kind}" for experiment in ("rabi", "ramsey", "echo")
+              for kind in ("memory", "size")),
             "rabi-infinite-end", "rabi-aliased", "rabi-aliased-far", "ramsey-infinite-end", "echo-infinite-end",
             "no-drive", "no-rates", "no-pump", "burn-rate-time", "wait-rate-time", "no-conversion",
             "zero-temperature",

@@ -549,16 +549,19 @@ def test_malformed_trace_is_a_fit_error(trace):
 
 
 @pytest.mark.parametrize(
-    "model, p, folded",
+    "model, q, a, c, folded",
     [
         # cos(-2 pi f u + phi) = cos(2 pi f u - phi)
-        ("sinusoid-decay", [0.5, -2.0, 0.25, 0.1, 0.0], [0.5, 2.0, -0.25, 0.1, 0.0]),
-        ("sinusoid-decay", [0.5, 2.0, 0.25 + 2.0 * math.pi, 0.1, 0.0], [0.5, 2.0, 0.25, 0.1, 0.0]),
-        ("lorentzian", [1.0, 3.0, -0.5, 0.2], [1.0, 3.0, 0.5, 0.2]),
+        ("sinusoid-decay", [-2.0, 0.1], [0.5 * math.cos(0.25), -0.5 * math.sin(0.25)], 0.0, [0.5, 2.0, -0.25, 0.1, 0.0]),
+        # the amplitudes give a phase of pi, which turns into -pi
+        ("sinusoid-decay", [2.0, 0.1], [-0.5, -0.0], 0.0, [0.5, 2.0, -math.pi, 0.1, 0.0]),
+        ("lorentzian", [3.0, -2.0], [1.0], 0.2, [1.0, 3.0, 0.5, 0.2]),
         # a negative rate is a growing trace, not a fold
-        ("single-exponential", [1.0, -2.0, 0.0], [1.0, -2.0, 0.0]),
+        ("single-exponential", [-2.0], [1.0], 0.0, [1.0, -2.0, 0.0]),
     ],
     ids=["negative-frequency", "phase-turn", "negative-width", "growing-exponential"],
 )
-def test_canonical_folds_the_symmetries(model, p, folded):
-    assert fitting._canonical(model, p) == pytest.approx(folded, abs=1e-15)
+def test_canonical_folds_the_symmetries(model, q, a, c, folded):
+    """Each model's own map from (q, amplitudes, offset) to its named parameters folds its symmetries."""
+    named = fitting._MODELS[model][3](np.array(q), np.array(a), c)
+    assert [float(value) for value in named] == pytest.approx(folded, abs=1e-15)

@@ -124,8 +124,9 @@ class TestHoleAreaRatio:
 
     def test_pipeline_matches_simulated_efficiency(self):
         rp = pumping.RateParams(pump_rate_flip=2000.0)
-        thermal = pumping.thermal_state(rp)
-        eff = pumping.transfer_efficiency(pumping.evolve(thermal, rp, 0.1), thermal)
+        thermal = pumping.thermal_state(rp).populations[0]
+        burned = pumping.evolve(pumping.thermal_state(rp), rp, 0.1).populations[0]
+        eff = (burned - thermal) / (1.0 - thermal)  # the normalized excess of g_low over its thermal population
         unit_hole = spectra.antihole_spectrum(self.line, -1.0, self.rm)
         anti = spectra.antihole_spectrum(self.line, eff, self.rm)
         assert spectra.hole_area_ratio(unit_hole, anti) == pytest.approx(eff, rel=0.02)
