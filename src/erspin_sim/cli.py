@@ -14,7 +14,6 @@ import functools
 import sys
 from pathlib import Path
 
-from .bloch import ConvergenceError
 from .config import ConfigError
 from .experiments import EXPERIMENT_NAMES, build_config, run
 from .fitting import FitError
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"erspin-sim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, FitError, FloatingPointError) as exc:
+    except (FitError, FloatingPointError) as exc:
         print(f"erspin-sim: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

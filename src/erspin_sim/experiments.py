@@ -160,29 +160,51 @@ def _check_rate_time(rp, t, time_key: str):
         )
 
 
-# The share of the grid period up to which a two-pulse trace on the detuning
-# grid follows a 64,001-node reference at the defaults: within 1.4e-5 for
+# The share of the grid period up to which a trace on the detuning grid
+# follows a 64,001-node reference at the defaults: within 1.4e-5 for
 # ideal-pulse Ramsey and 3.1e-7 for a finite-pulse echo at t2 = inf, against
-# 1 and 0.19 over the full period, where the trace revives.
+# 1 and 0.19 over the full period, where the trace revives.  The default
+# rabi trace stays within 7.0e-8 of a 32,001-node one at 0.72 of its period
+# and drifts 8.2e-4 off at 1.21.
 GRID_PERIOD_SHARE = 0.8
 
+# Detuning steps per line width, or per Rabi frequency where that is the
+# narrower, that a grid must take.  With it, and windows up to
+# GRID_PERIOD_SHARE of the revival period, the pi fidelity and the rabi,
+# ramsey and echo traces of both presets and line kinds stay within 1e-4 of
+# an eight-times finer grid; a Lorentzian ramsey trace needs it, at 8.0e-5
+# (CHANGES.md).
+GRID_STEPS_PER_WIDTH = 16
 
-def _check_grid_period(params, harmonic: int):
-    """Reject a ``tau_max_s`` past ``GRID_PERIOD_SHARE`` of the period of the grid's ``harmonic``.
 
-    The detunings sit on a uniform step delta, so a term in ``harmonic``
-    times the detuning repeats every 1/(harmonic delta).
+def _check_detuning_grid(params, harmonic: int, window_key: str, window_s: float):
+    """Reject an ``n_samples`` whose detuning grid does not resolve the line or the trace window.
+
+    The detunings sit on a uniform step delta = 2 span_fwhm line_fwhm_hz /
+    (n_samples - 1).  It must be at most the narrower of ``line_fwhm_hz``
+    and ``rabi_frequency_hz`` over ``GRID_STEPS_PER_WIDTH``, and a term in
+    ``harmonic`` times the detuning repeats every 1/(harmonic delta), of
+    which the trace window, ``window_s`` long, may span
+    ``GRID_PERIOD_SHARE``.  The message names the least ``n_samples`` that
+    meets both, and ``window_key`` where the window sets it.
     """
-    if params["n_samples"] == 1:
-        return
     width = 2.0 * params["span_fwhm"] * params["line_fwhm_hz"]  # the grid spans +-span_fwhm line widths
-    steps = harmonic * width * params["tau_max_s"] / GRID_PERIOD_SHARE  # the grid steps the window needs
-    if not steps <= params["n_samples"] - 1:
-        period = (params["n_samples"] - 1) / (harmonic * width)
+    if not math.isfinite(width):
+        return  # the detuning grid names span_fwhm
+    resolve = GRID_STEPS_PER_WIDTH * width / min(params["line_fwhm_hz"], params["rabi_frequency_hz"])
+    window = harmonic * width * window_s / GRID_PERIOD_SHARE  # the grid steps each limit needs
+    if max(resolve, window) <= params["n_samples"] - 1:
+        return
+    need = f"n_samples >= {np.ceil(max(resolve, window)) + 1:.0f}"
+    if window > resolve:
         raise ValueError(
-            f"tau_max_s must be <= {GRID_PERIOD_SHARE} of the {period:.3g} s period at which the detuning grid's "
-            f"trace revives; n_samples >= {np.ceil(steps) + 1:.0f} resolves this window"
+            f"{need} resolves this window, or {window_key} must be <= {GRID_PERIOD_SHARE} of the "
+            f"{(params['n_samples'] - 1) / (harmonic * width):.3g} s period at which the detuning grid's trace revives"
         )
+    raise ValueError(
+        f"{need} resolves the line: the detuning step 2 span_fwhm line_fwhm_hz / (n_samples - 1) must be <= "
+        f"1/{GRID_STEPS_PER_WIDTH} of the narrower of line_fwhm_hz and rabi_frequency_hz"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +212,14 @@ def _check_grid_period(params, harmonic: int):
 
 
 def _build_rabi(params):
-    spec = _ensemble_from(params)
     f_set = params["rabi_frequency_hz"]
     omega = 2.0 * math.pi * f_set
-    t = _grid(
-        np.linspace, 0.0, params["trace_periods"] / f_set, params["trace_points"], "trace_points", "trace_periods"
-    )
+    window = params["trace_periods"] / f_set
+    t = _grid(np.linspace, 0.0, window, params["trace_points"], "trace_points", "trace_periods")
     if not params["trace_points"] - 1 > 2.0 * params["trace_periods"]:  # Nyquist
         raise ValueError("trace_points must exceed 2 trace_periods + 1, or the trace aliases the drive")
+    _check_detuning_grid(params, 1, "trace_periods", window)
+    spec = _ensemble_from(params)
 
     def measure():
         times, inversion = bloch.rabi_trace(spec, omega, t)
@@ -220,10 +242,10 @@ def _build_rabi(params):
 
 
 def _build_ramsey(params):
+    taus = _grid(np.linspace, 0.0, params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
+    _check_detuning_grid(params, 1, "tau_max_s", params["tau_max_s"])
     spec = _ensemble_from(params)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
-    _check_grid_period(params, 1)
-    taus = _grid(np.linspace, 0.0, params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
 
     def measure():
         x, sig = bloch.ramsey_trace(spec, omega, taus, t2=params["t2_s"], ideal_pulses=params["ideal_pulses"])
@@ -247,7 +269,6 @@ ECHO_FLOOR = 1e-12
 
 
 def _build_echo(params):
-    spec = _ensemble_from(params)
     omega = 2.0 * math.pi * params["rabi_frequency_hz"]
     if not params["tau_min_s"] < params["tau_max_s"]:  # a zero span holds no time constant
         raise ValueError("tau_min_s must be < tau_max_s")
@@ -256,9 +277,10 @@ def _build_echo(params):
             f"tau_min_s must be <= {-0.5 * math.log(ECHO_FLOOR):.3g} t2_s, or the echo starts below "
             f"{ECHO_FLOOR:.0e}, where the ensemble sums round"
         )
-    if not params["ideal_pulses"]:  # ideal pulses refocus every detuning, so nothing revives
-        _check_grid_period(params, 2)
     taus = _grid(np.linspace, params["tau_min_s"], params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
+    # ideal pulses refocus every detuning, so nothing revives
+    _check_detuning_grid(params, 2, "tau_max_s", 0.0 if params["ideal_pulses"] else params["tau_max_s"])
+    spec = _ensemble_from(params)
 
     def measure():
         x2, amp = bloch.echo_trace(spec, omega, taus, params["t2_s"], ideal_pulses=params["ideal_pulses"])

@@ -6,13 +6,16 @@ Usage::
 
 It runs each experiment with its defaults at one OpenBLAS thread on the
 kernel OpenBLAS picks for the host, importing the package from this
-checkout's ``src/``, and writes the files next to this script.  A change
-that moves a value on purpose regenerates the record, so that the diff of
-these files shows what moved.
+checkout's ``src/``.  The runs write into a temporary directory next to
+this script, and only when all seven exit 0 do their files replace the
+record, so a failing run leaves the record as it was.  A change that moves
+a value on purpose regenerates the record, so that the diff of these files
+shows what moved.
 """
 
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -22,8 +25,11 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 from erspin_sim import cli  # noqa: E402
 
-for path in [*HERE.glob("*_trace.csv"), *HERE.glob("*_summary.txt")]:  # drop an experiment's files with it
-    path.unlink()
-for experiment in cli.EXPERIMENT_NAMES:
-    if cli.main([experiment, "--out", str(HERE)]) != 0:
-        sys.exit(f"the default {experiment} run failed")
+with tempfile.TemporaryDirectory(dir=HERE) as out:
+    for experiment in cli.EXPERIMENT_NAMES:
+        if cli.main([experiment, "--out", out]) != 0:
+            sys.exit(f"the default {experiment} run failed; the record is unchanged")
+    for path in [*HERE.glob("*_trace.csv"), *HERE.glob("*_summary.txt")]:  # drop an experiment's files with it
+        path.unlink()
+    for path in Path(out).iterdir():
+        path.replace(HERE / path.name)

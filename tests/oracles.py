@@ -114,8 +114,8 @@ def lorentzian_density(f, fwhm):
 def brute_pi_fidelity_avg(omega, fwhm, span_fwhm=20.0, n_detunings=4001, steps=2000):
     """Line-averaged pi-pulse transfer via RK4 propagation + dense sum.
 
-    Independent of the package's closed-form rotation and adaptive
-    quadrature: every detuning on the dense grid is integrated with RK4
+    Independent of the package's closed-form rotation and detuning
+    grid: every detuning on the dense grid is integrated with RK4
     from (0, 0, -1) over one pi time, and the transfer probabilities are
     trapezoid-averaged against the Lorentzian weights.
     """

@@ -122,9 +122,9 @@ class TestBuildConfig:
             experiments.build_config("rabi", config_text=text)
 
     def test_set_overrides_beat_file_values(self):
-        text = "schema_version = 1\nn_samples = 101\n"
-        cfg = experiments.build_config("rabi", config_text=text, set_overrides={"n_samples": "301"})
-        assert cfg.params["n_samples"] == 301
+        text = "schema_version = 1\nn_samples = 801\n"
+        cfg = experiments.build_config("rabi", config_text=text, set_overrides={"n_samples": "1001"})
+        assert cfg.params["n_samples"] == 1001
 
     def test_bool_and_inf_values(self):
         cfg = experiments.build_config(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from erspin_sim import cli, experiments, pumping
+from erspin_sim import bloch, cli, experiments, pumping, spectra
 from erspin_sim.config import ConfigError
 from trace_csv import read_trace_csv
 
@@ -64,7 +64,7 @@ def test_peak_refinement_finds_the_vertex_of_a_parabola(space):
 
 def test_echo_amplitude_at_zero_extrapolates_to_zero_delay(tmp_path):
     # Ideal pulses refocus every member, so the echo is exp(-2 tau / t2): 1 at zero delay.
-    sets = {"ideal_pulses": "true", "tau_min_s": "1e-7", "tau_points": "32", "n_samples": "301"}
+    sets = {"ideal_pulses": "true", "tau_min_s": "1e-7", "tau_points": "32", "n_samples": "641"}
     s = experiments.run(experiments.build_config("echo", set_overrides=sets, output_dir=tmp_path))
     assert s["echo_amplitude_at_zero"] == pytest.approx(1.0, abs=1e-9)
 
@@ -176,29 +176,87 @@ def test_each_run_builds_once(tmp_path, monkeypatch):
         assert len(builds) == n
 
 
-@pytest.mark.parametrize("experiment", ["ramsey", "echo"])
-def test_grid_period_check_names_the_n_samples_that_resolve_the_window(experiment):
-    sets = {"tau_max_s": "6e-6"}
-    with pytest.raises(ConfigError, match="tau_max_s") as exc:
+def least_n_samples(experiment, sets, key="n_samples"):
+    """The ``n_samples`` that the build's detuning-grid message names for ``sets``, which must name ``key`` too."""
+    with pytest.raises(ConfigError, match=key) as exc:
         experiments.build_config(experiment, set_overrides=sets)
-    need = int(re.search(r"n_samples >= (\d+)", str(exc.value)).group(1))
+    return int(re.search(r"n_samples >= (\d+)", str(exc.value)).group(1))
+
+
+@pytest.mark.parametrize(
+    "experiment, sets, key",
+    [
+        # windows past 0.8 of the period at which the grid's trace revives
+        ("ramsey", {"tau_max_s": "6e-6"}, "tau_max_s"),
+        ("echo", {"tau_max_s": "6e-6"}, "tau_max_s"),
+        ("rabi", {"trace_periods": "100"}, "trace_periods"),
+        ("rabi", {"rabi_frequency_hz": "1e5"}, "trace_periods"),
+        # detuning steps wider than 1/16 of the line, or of the Rabi frequency
+        ("rabi", {"n_samples": "301"}, "line_fwhm_hz"),
+        ("ramsey", {"line_fwhm_hz": "6e7"}, "line_fwhm_hz"),
+        ("echo", {"ideal_pulses": "true", "rabi_frequency_hz": "2e6"}, "rabi_frequency_hz"),
+    ],
+    ids=["ramsey-window", "echo-window", "rabi-window", "rabi-low-drive", "rabi-line", "ramsey-line", "echo-drive"],
+)
+def test_grid_period_check_names_the_n_samples_that_resolve_the_window(experiment, sets, key):
+    need = least_n_samples(experiment, sets, key)
     experiments.build_config(experiment, set_overrides={**sets, "n_samples": str(need)})
-    with pytest.raises(ConfigError, match="tau_max_s"):
-        experiments.build_config(experiment, set_overrides={**sets, "n_samples": str(need - 1)})
+    assert least_n_samples(experiment, {**sets, "n_samples": str(need - 1)}, key) == need
+
+
+def test_ideal_pulse_echo_has_no_window_limit():
+    # ideal pulses refocus every detuning, so no revival limits the window, which finite pulses' does
+    experiments.build_config("echo", set_overrides={"ideal_pulses": "true", "tau_max_s": "1e-3"})
+    least_n_samples("echo", {"tau_max_s": "2.5e-6"}, "tau_max_s")
+
+
+# The largest distance, absolute in the trace and relative in the pi fidelity, between a rabi run on a grid the
+# build admits and the same run on a four-times finer one: three times the 9.9e-6 and 1.1e-6 measured over 300
+# draws of the test below (CHANGES.md).  Spans stay at 5 widths or more: on a line cut off nearer its center the
+# trapezoid's error at the cut, second order in the step, dominates (2.2e-3 in the trace at 1 width).
+TRACE_TOLERANCE, PI_FIDELITY_TOLERANCE = 3e-5, 3e-6
+
+
+@settings(max_examples=100)
+@given(
+    kind=st.sampled_from(spectra.LINE_KINDS),
+    line_fwhm=st.floats(2e6, 2e7),
+    drive=st.floats(5e6, 3e7),
+    span=st.floats(5.0, 20.0),
+    periods=st.floats(1.0, 20.0),
+    spread=st.floats(0.0, 0.05),
+    extra=st.integers(0, 100),
+)
+def test_admitted_rabi_grids_agree_with_a_finer_one(kind, line_fwhm, drive, span, periods, spread, extra):
+    """At any ``n_samples`` the build admits, the trace and the pi fidelity stay put on 4 n - 3 nodes."""
+    sets = {"line_kind": kind, "line_fwhm_hz": repr(line_fwhm), "rabi_frequency_hz": repr(drive),
+            "span_fwhm": repr(span), "trace_periods": repr(periods), "amplitude_spread": repr(spread),
+            "trace_points": "64"}
+    n = least_n_samples("rabi", {**sets, "n_samples": "2"}) + extra
+    t = np.linspace(0.0, periods / drive, 64)
+    pi_fidelity, trace = [], []
+    for m in (n, 4 * n - 3):  # the coarse nodes are every fourth fine one
+        params = experiments.build_config("rabi", set_overrides={**sets, "n_samples": str(m)}).params
+        spec = experiments._ensemble_from(params)
+        pi_fidelity.append(bloch.pi_fidelity_avg(2.0 * math.pi * drive, spec))
+        trace.append(bloch.rabi_trace(spec, 2.0 * math.pi * drive, t)[1])
+    assert np.abs(trace[0] - trace[1]).max() <= TRACE_TOLERANCE
+    assert pi_fidelity[0] == pytest.approx(pi_fidelity[1], rel=PI_FIDELITY_TOLERANCE)
 
 
 def test_zero_weight_grid_names_the_n_samples_that_centers_a_node():
-    sets = {"line_kind": "gaussian", "n_samples": "2"}  # both nodes 20 widths out, where the density underflows
-    with pytest.raises(ConfigError, match="span_fwhm") as exc:
-        experiments.build_config("rabi", set_overrides=sets)
+    # both nodes 20 widths out, where the density underflows; the build rejects such a grid before it forms one
+    line = spectra.LineShape("gaussian", 9e6)
+    with pytest.raises(ValueError, match="span_fwhm") as exc:
+        bloch.EnsembleSpec(line, n_samples=2)
     need = re.search(r"n_samples, such as (\d+),", str(exc.value)).group(1)
-    experiments.build_config("rabi", set_overrides={**sets, "n_samples": need, "trace_points": "64"})
+    bloch.EnsembleSpec(line, n_samples=int(need))
 
 
 # Grids small enough that all seven experiments run in about a second.
 SMALL_GRIDS = {
-    "rabi": {"trace_points": "128", "n_samples": "301"},
-    "ramsey": {"tau_points": "32", "n_samples": "301"},
+    "rabi": {"trace_points": "128", "n_samples": "641"},
+    "ramsey": {"tau_points": "32", "n_samples": "641"},
     "echo": {"tau_points": "32", "n_samples": "1501"},
     "holeburn": {"wait_points": "24"},
 }
