@@ -219,9 +219,10 @@ def _rotation(kx, kz, c, s, vers):
 
 
 #: Largest table, in elements, that an ensemble kernel builds at once: the
-#: trig tables of ``_trig_sum``, and the pulse maps of ``_two_pulse_signal``,
-#: whose blocks of |Delta| rows x amplitude nodes are a sixth of it, since
-#: ``alpha`` and ``gamma`` are complex and ``beta`` and ``eps`` real.  A trig
+#: trig tables of ``_trig_sum``, and the pulse maps of ``ramsey_trace`` and
+#: ``echo_trace``, whose blocks of |Delta| rows x amplitude nodes are a sixth
+#: of it, since ``alpha`` and ``gamma`` are complex and ``beta`` and ``eps``
+#: real (:func:`_two_pulse_blocks`).  A trig
 #: table (256 KiB) stays in cache, and a complex map block (at most 43 KiB)
 #: below glibc's default mmap threshold, so blocks reuse warm heap memory
 #: instead of faulting fresh pages.
@@ -245,7 +246,7 @@ def _powers(first: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
 
 
 def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``sum_m c_m exp(i f_m t)`` at every t; real ``c`` gives the real part.
+    """``sum_m c_m exp(i f_m t)`` at every t, complex whatever the dtype of ``c``.
 
     Callers pass the frequencies in ascending order, mirror detunings folded
     (:func:`_folded`); a repeated frequency still sums right, at the cost of
@@ -260,7 +261,6 @@ def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
     that its two tables stay within ``_TABLE_ELEMENTS``, and the blocks'
     products are added up in frequency order.
     """
-    real = not np.iscomplexobj(c)
     n = t.size
     dt = (t[-1] - t[0]) / max(n - 1, 1)
     block = round(math.sqrt(n))
@@ -272,8 +272,7 @@ def _trig_sum(t: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
         right = _powers(c[lo : lo + width].astype(complex), np.exp(1j * fb * dt), block)
         left = _powers(np.exp(1j * fb * t[0]), np.exp(1j * fb * (block * dt)), starts.size)
         out += left @ right.T
-    out = out.ravel()[:n]
-    return out.real if real else out
+    return out.ravel()[:n]
 
 
 def propagate(b: BlochVector, p: Pulse, detuning: float = 0.0) -> BlochVector:
@@ -318,7 +317,8 @@ def rabi_trace(spec: EnsembleSpec, rabi: float, t_grid):
     averaged with the quadrature weights.  It depends on the detuning only
     through its square, so each mirror pair's weights are added per
     amplitude node, and the trig sum runs over the (|Delta|, amplitude)
-    table, in ascending frequency.  ``t_grid`` must be ascending and evenly
+    table, in ascending frequency, with real coefficients, so the trace is
+    its real part.  ``t_grid`` must be ascending and evenly
     spaced, as ``np.linspace`` builds it; any other grid raises
     :class:`ValueError`.  Returns ``(times, mean_inversion)``.
 
@@ -340,21 +340,20 @@ def rabi_trace(spec: EnsembleSpec, rabi: float, t_grid):
     # w(t) = -(1 - frac + frac cos(gen t)) per (|Delta|, amplitude) node; in table order, not
     # ascending, the default fit's contrast_decay_rate_hz moved 3.5e-9 relative between BLAS kernels
     order = np.argsort(gen2, axis=None, kind="stable")
-    mean_w = -((w - frac).sum() + _trig_sum(t, np.sqrt(gen2.ravel()[order]), frac.ravel()[order]))
+    mean_w = -((w - frac).sum() + _trig_sum(t, np.sqrt(gen2.ravel()[order]), frac.ravel()[order]).real)
     return t, mean_w
 
 
-def pi_fidelity_center(rabi: float, amplitude_spread: AmplitudeSpread) -> float:
+def pi_fidelity_center(amplitude_spread: AmplitudeSpread) -> float:
     """Resonant pi-pulse transfer probability averaged over drive amplitude.
 
-    The pulse duration is pi/rabi; a member with relative amplitude ``a``
-    transfers with probability ``sin^2(pi a / 2)``, whose exact mean over
-    the uniform spread ``[1 - hw, 1 + hw]`` is ``0.5 + 0.5 sinc(hw)``, with
-    ``sinc(x) = sin(pi x) / (pi x)``, so the infidelity grows quadratically
-    in the spread.  Equals 1 for zero spread.
+    The pulse is a pi-pulse at the nominal amplitude, whatever the Rabi
+    frequency: a member with relative amplitude ``a`` transfers with
+    probability ``sin^2(pi a / 2)``, whose exact mean over the uniform
+    spread ``[1 - hw, 1 + hw]`` is ``0.5 + 0.5 sinc(hw)``, with ``sinc(x) =
+    sin(pi x) / (pi x)``, so the infidelity grows quadratically in the
+    spread.  Equals 1 for zero spread.
     """
-    if rabi <= 0:
-        raise ValueError("rabi must be > 0")
     return float(0.5 + 0.5 * np.sinc(amplitude_spread.half_width))
 
 
@@ -377,22 +376,13 @@ def pi_fidelity_avg(rabi: float, spec: EnsembleSpec) -> float:
     return float((w * p).sum())
 
 
-def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: bool):
-    """Ramsey inversion or echo magnitude, in closed form in tau.
+def _two_pulse_blocks(spec, rabi, tau_grid, t2, ideal_pulses):
+    """The checked delays, the folded grid and its row blocks with their pulse drive: ``(taus, adw, wf, blocks)``.
 
-    The pulse maps (:func:`_pulse`) are built once per node of the folded
-    (|Delta|, amplitude) table (:func:`_folded`), over row blocks within
-    ``_TABLE_ELEMENTS`` // 6 elements; each row's products are summed over
-    the amplitude axis, and its tau-independent term is kept and summed
-    once at the end, so the blocks change no value.  A delay turns the
-    transverse part ``u + i v`` by ``exp(i dw tau)`` and damps it by
-    ``exp(-tau/t2)``, so each member's signal is a trig polynomial in
-    ``dw tau``.  The Ramsey inversion is a real part, so a mirror pair is
-    one term at ``|dw|`` of their summed weight.  The echo is complex: each
-    product is summed once with the ``+|dw|`` weights and once with the
-    ``-|dw|`` ones, and the coefficient at ``-|dw|`` is ``-conj`` of the
-    latter sum; its trig sums run over ascending ``-|dw|`` and ``+|dw|``,
-    on the evenly spaced delays that :func:`_time_axis` admits.
+    Each block is ``(rows, om, off)``: a slice of the folded (|Delta|,
+    amplitude) table (:func:`_folded`) within ``_TABLE_ELEMENTS`` // 6
+    elements, and the Rabi frequency and detuning of its pulses, both in
+    rad/s.  Ideal pulses are the same resonant x rotations for every member.
     """
     if rabi <= 0:
         raise ValueError("rabi must be > 0")
@@ -400,37 +390,9 @@ def _two_pulse_signal(spec, rabi, tau_grid, refocus: bool, t2, ideal_pulses: boo
         raise ValueError("t2 must be > 0")
     taus = _time_axis(tau_grid, "tau_grid")
     adw, a, wf = _folded(spec)
-    # per |Delta| row: the tau-independent term, then the coefficients of harmonics 1 and 2 of
-    # |dw| tau, summed over the amplitude axis; the echo's at +|dw| and -|dw| apart
-    h0 = np.empty(adw.size, complex if refocus else float)
-    h = np.empty((2, 2, adw.size) if refocus else (1, adw.size), complex)
     rows = max(1, _TABLE_ELEMENTS // 6 // a.size)
-    for lo in range(0, adw.size, rows):
-        s = slice(lo, lo + rows)
-        # ideal pulses are the same resonant x rotations for every member
-        om, off = (rabi, 0.0) if ideal_pulses else (rabi * a, adw[s, None])
-        if not refocus:  # w after the second pi/2 pulse is Re(gamma r_perp) + eps r_z
-            _, _, gamma, eps = _pulse(om, off, 0.5 * np.pi / rabi)
-            w = wf[0, s] + wf[1, s]  # a mirror pair: conj terms, whose real parts agree
-            h0[s] = (w * eps * -eps).sum(-1)
-            h[0, s] = (w * gamma * -gamma).sum(-1)
-            continue
-        (_, _, gamma, eps), (alpha, beta, gamma_pi, _) = _pulse(om, off, 0.5 * np.pi / rabi, twice=True)
-        a_perp, a_z = -gamma, -eps  # (0, 0, -1) after the first pi/2 pulse
-        # each product at -|dw| is -conj of its value at +|dw|
-        plus, minus = (wf[:, s] * beta * np.conj(a_perp)).sum(-1)
-        h0[s] = plus - np.conj(minus)
-        h[0, :, s] = (wf[:, s] * gamma_pi * a_z).sum(-1)
-        h[1, :, s] = (wf[:, s] * alpha * a_perp).sum(-1)
-    damp = np.exp(-taus / t2)
-    if not refocus:
-        return taus, h0.sum() + damp * _trig_sum(taus, adw, h[0]).real
-    # frequencies -|dw| descending, then +|dw|, dropping those no node carries
-    keep = np.concatenate((wf[1, ::-1].any(-1), wf[0].any(-1)))
-    f = np.concatenate((-adw[::-1], adw))[keep]
-    c = [np.concatenate((-np.conj(hk[1, ::-1]), hk[0]))[keep] for hk in h]
-    perp = damp**2 * (h0.sum() + _trig_sum(taus, 2.0 * f, c[1])) + damp * _trig_sum(taus, f, c[0])
-    return taus, np.abs(perp)
+    blocks = [slice(lo, lo + rows) for lo in range(0, adw.size, rows)]
+    return taus, adw, wf, [(s, rabi, 0.0) if ideal_pulses else (s, rabi * a, adw[s, None]) for s in blocks]
 
 
 def ramsey_trace(
@@ -440,17 +402,33 @@ def ramsey_trace(
     t2: float = math.inf,
     ideal_pulses: bool = False,
 ):
-    """pi/2 - delay(tau) - pi/2 sequence, mean inversion versus tau.
+    """pi/2 - delay(tau) - pi/2 sequence, mean inversion versus tau, in closed form in tau.
 
     At tau = 0 the two pulses compose to a pi-pulse.  With ideal
     (instantaneous) pulses and a Lorentzian line of width Gamma the
     envelope is ``exp(-pi Gamma tau)`` up to the line truncation; finite
     pulses reduce the tau = 0 transfer to the averaged pi-pulse fidelity.
-    ``tau_grid`` must be ascending and evenly spaced, as ``np.linspace``
-    builds it; any other grid raises :class:`ValueError`.  Returns
-    ``(taus, mean_inversion)``.
+
+    The pulse map (:func:`_pulse`) is built once per node of the folded
+    (|Delta|, amplitude) table, one block of rows at a time; each row's
+    products are summed over the amplitude axis, and its tau-independent
+    term is kept and summed once at the end, so the blocks change no value.
+    A delay turns the transverse part ``u + i v`` by ``exp(i dw tau)`` and
+    damps it by ``exp(-tau/t2)``, and the second pulse reads the inversion
+    ``Re(gamma r_perp) + eps w``, a real part, so a mirror pair is one term
+    at ``|dw|`` of their summed weight.  ``tau_grid`` must be ascending and
+    evenly spaced, as ``np.linspace`` builds it; any other grid raises
+    :class:`ValueError`.  Returns ``(taus, mean_inversion)``.
     """
-    return _two_pulse_signal(spec, rabi, tau_grid, refocus=False, t2=t2, ideal_pulses=ideal_pulses)
+    taus, adw, wf, blocks = _two_pulse_blocks(spec, rabi, tau_grid, t2, ideal_pulses)
+    # per |Delta| row: the tau-independent term and the coefficient of exp(i |dw| tau)
+    h0, h1 = np.empty(adw.size), np.empty(adw.size, complex)
+    for s, om, off in blocks:
+        _, _, gamma, eps = _pulse(om, off, 0.5 * np.pi / rabi)
+        w = wf[0, s] + wf[1, s]  # a mirror pair: conj terms, whose real parts agree
+        h0[s] = (w * eps * -eps).sum(-1)
+        h1[s] = (w * gamma * -gamma).sum(-1)
+    return taus, h0.sum() + np.exp(-taus / t2) * _trig_sum(taus, adw, h1).real
 
 
 def echo_trace(
@@ -460,15 +438,40 @@ def echo_trace(
     t2: float,
     ideal_pulses: bool = False,
 ):
-    """pi/2 - tau - pi - tau sequence, echo amplitude versus total time.
+    """pi/2 - tau - pi - tau sequence, echo amplitude versus total time, in closed form in tau.
 
     The signal is the magnitude of the ensemble-averaged transverse
-    component at time 2 tau.  Ideal pulses refocus the inhomogeneous
+    component at time 2 tau.  Ideal pulses undo the inhomogeneous
     dephasing exactly, leaving the phenomenological ``exp(-2 tau / t2)``
     envelope; ``t2 = math.inf`` keeps the echo at unit amplitude.
-    ``tau_grid`` must be ascending and evenly spaced, as ``np.linspace``
-    builds it; any other grid raises :class:`ValueError`.  Returns
-    ``(2 tau, amplitude)``.
+
+    The pi/2 and pi maps (:func:`_pulse`, the pi map by double angles) are
+    built once per node of the folded (|Delta|, amplitude) table, one block
+    of rows at a time, as in :func:`ramsey_trace`.  The transverse part
+    after the sequence holds harmonics 0, 1 and 2 of ``dw tau``; it is
+    complex, so each product is summed once with the ``+|dw|`` weights and
+    once with the ``-|dw|`` ones, and the coefficient at ``-|dw|`` is
+    ``-conj`` of the latter sum.  The trig sums run over ascending ``-|dw|``
+    and ``+|dw|``.  ``tau_grid`` must be ascending and evenly spaced, as
+    ``np.linspace`` builds it; any other grid raises :class:`ValueError`.
+    Returns ``(2 tau, amplitude)``.
     """
-    taus, sig = _two_pulse_signal(spec, rabi, tau_grid, refocus=True, t2=t2, ideal_pulses=ideal_pulses)
-    return 2.0 * taus, sig
+    taus, adw, wf, blocks = _two_pulse_blocks(spec, rabi, tau_grid, t2, ideal_pulses)
+    # per |Delta| row: the tau-independent term, then the coefficients of harmonics 1 and 2 of |dw| tau, summed
+    # over the amplitude axis at +|dw| and -|dw| apart
+    h0, h = np.empty(adw.size, complex), np.empty((2, 2, adw.size), complex)
+    for s, om, off in blocks:
+        (_, _, gamma, eps), (alpha, beta, gamma_pi, _) = _pulse(om, off, 0.5 * np.pi / rabi, twice=True)
+        a_perp, a_z = -gamma, -eps  # (0, 0, -1) after the first pi/2 pulse
+        # each product at -|dw| is -conj of its value at +|dw|
+        plus, minus = (wf[:, s] * beta * np.conj(a_perp)).sum(-1)
+        h0[s] = plus - np.conj(minus)
+        h[0, :, s] = (wf[:, s] * gamma_pi * a_z).sum(-1)
+        h[1, :, s] = (wf[:, s] * alpha * a_perp).sum(-1)
+    damp = np.exp(-taus / t2)
+    # frequencies -|dw| descending, then +|dw|, dropping those no node carries
+    keep = np.concatenate((wf[1, ::-1].any(-1), wf[0].any(-1)))
+    f = np.concatenate((-adw[::-1], adw))[keep]
+    c = [np.concatenate((-np.conj(hk[1, ::-1]), hk[0]))[keep] for hk in h]
+    perp = damp**2 * (h0.sum() + _trig_sum(taus, 2.0 * f, c[1])) + damp * _trig_sum(taus, f, c[0])
+    return 2.0 * taus, np.abs(perp)

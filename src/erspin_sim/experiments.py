@@ -37,36 +37,32 @@ PRESETS = (geometry.GROUND_CONFIG, geometry.EXCITED_CONFIG)
 
 @dataclass(frozen=True)
 class Param:
-    """One configurable value: default (may depend on preset) and type."""
+    """One configurable value: its default, which may depend on the preset, and its range."""
 
     default: object
-    kind: str = "float"  # float | int | bool | str
     choices: tuple | None = None
     minimum: float | None = None
 
     def resolve_default(self, preset: str):
         return self.default(preset) if callable(self.default) else self.default
 
-    def parse(self, key: str, raw: str):
+    def parse(self, key: str, raw: str, kind: type):
+        """``raw`` as a ``kind``, the type of the key's resolved default, checked against the range."""
         try:
-            if self.kind == "float":
-                val = float(raw)
-            elif self.kind == "int":
-                val = int(raw)
-            elif self.kind == "bool":
+            if kind is bool:
                 if raw not in ("true", "false"):
                     raise ValueError("expected true or false")
                 val = raw == "true"
             else:
-                val = raw
+                val = kind(raw)
         except ValueError as exc:
-            raise ConfigError(key, f"cannot parse {raw!r} as {self.kind}: {exc}") from None
+            raise ConfigError(key, f"cannot parse {raw!r} as {kind.__name__}: {exc}") from None
         if self.choices is not None and val not in self.choices:
             raise ConfigError(key, f"must be one of {self.choices}")
         if self.minimum is not None and val < self.minimum:
             raise ConfigError(key, f"must be >= {self.minimum}")
         # nan, and an infinity where the default is finite
-        if self.kind == "float" and not (math.isfinite(val) or val == self.default):
+        if kind is float and not (math.isfinite(val) or val == self.default):
             raise ConfigError(key, f"must be a finite number, not {val}")
         return val
 
@@ -88,20 +84,14 @@ def _ensemble_params():
     return {
         "rabi_frequency_hz": Param(lambda p: geometry.PRESET_RABI_HZ[p], minimum=1.0),
         "line_fwhm_hz": Param(9e6, minimum=1e-3),
-        "line_kind": Param("lorentzian", kind="str", choices=spectra.LINE_KINDS),
+        "line_kind": Param("lorentzian", choices=spectra.LINE_KINDS),
         "amplitude_spread": Param(0.01, minimum=0.0),
-        "n_samples": Param(2001, kind="int", minimum=1),
-        "span_fwhm": Param(20.0, minimum=0.1),
+        "n_samples": Param(2001, minimum=1),
+        # the least span at which GRID_STEPS_PER_WIDTH keeps its 1e-4: on a Lorentzian cut nearer its center the
+        # trapezoid's error at the cut, which grows with the window, takes the ideal-pulse ramsey trace at 0.8 of
+        # its period past 1e-4 below 16.6 line widths, and to at most 9.5e-5 from 18 (CHANGES.md)
+        "span_fwhm": Param(20.0, minimum=18.0),
     }
-
-
-def _ensemble_from(params):
-    return bloch.EnsembleSpec(
-        detuning_line=spectra.LineShape(params["line_kind"], params["line_fwhm_hz"]),
-        rabi_spread=bloch.AmplitudeSpread(params["amplitude_spread"]),
-        n_samples=params["n_samples"],
-        span_fwhm=params["span_fwhm"],
-    )
 
 
 def _rate_params_from(params):
@@ -169,7 +159,7 @@ def _check_rate_time(rp, t, time_key: str):
 GRID_PERIOD_SHARE = 0.8
 
 # Detuning steps per line width, or per Rabi frequency where that is the
-# narrower, that a grid must take.  With it, and windows up to
+# narrower and the pulses are finite, that a grid must take.  With it, and windows up to
 # GRID_PERIOD_SHARE of the revival period, the pi fidelity and the rabi,
 # ramsey and echo traces of both presets and line kinds stay within 1e-4 of
 # an eight-times finer grid; a Lorentzian ramsey trace needs it, at 8.0e-5
@@ -177,34 +167,43 @@ GRID_PERIOD_SHARE = 0.8
 GRID_STEPS_PER_WIDTH = 16
 
 
-def _check_detuning_grid(params, harmonic: int, window_key: str, window_s: float):
-    """Reject an ``n_samples`` whose detuning grid does not resolve the line or the trace window.
+def _ensemble(params, harmonic: int, window_key: str, window_s: float):
+    """The ensemble of ``params`` and its drive in rad/s, ``(spec, omega)``, on a detuning grid that resolves both.
 
     The detunings sit on a uniform step delta = 2 span_fwhm line_fwhm_hz /
-    (n_samples - 1).  It must be at most the narrower of ``line_fwhm_hz``
-    and ``rabi_frequency_hz`` over ``GRID_STEPS_PER_WIDTH``, and a term in
-    ``harmonic`` times the detuning repeats every 1/(harmonic delta), of
-    which the trace window, ``window_s`` long, may span
-    ``GRID_PERIOD_SHARE``.  The message names the least ``n_samples`` that
-    meets both, and ``window_key`` where the window sets it.
+    (n_samples - 1).  It must be at most ``line_fwhm_hz`` and, for finite
+    pulses, ``rabi_frequency_hz`` over ``GRID_STEPS_PER_WIDTH``; ideal
+    pulses take no drive.  A term in ``harmonic`` times the detuning
+    repeats every 1/(harmonic delta), of which the trace window,
+    ``window_s`` long, may span ``GRID_PERIOD_SHARE``.  An ``n_samples``
+    that misses either raises :class:`ValueError`, naming the least
+    ``n_samples`` that meets both, and ``window_key`` where the window sets
+    it.
     """
-    width = 2.0 * params["span_fwhm"] * params["line_fwhm_hz"]  # the grid spans +-span_fwhm line widths
-    if not math.isfinite(width):
-        return  # the detuning grid names span_fwhm
-    resolve = GRID_STEPS_PER_WIDTH * width / min(params["line_fwhm_hz"], params["rabi_frequency_hz"])
-    window = harmonic * width * window_s / GRID_PERIOD_SHARE  # the grid steps each limit needs
-    if max(resolve, window) <= params["n_samples"] - 1:
-        return
-    need = f"n_samples >= {np.ceil(max(resolve, window)) + 1:.0f}"
-    if window > resolve:
-        raise ValueError(
-            f"{need} resolves this window, or {window_key} must be <= {GRID_PERIOD_SHARE} of the "
-            f"{(params['n_samples'] - 1) / (harmonic * width):.3g} s period at which the detuning grid's trace revives"
-        )
-    raise ValueError(
-        f"{need} resolves the line: the detuning step 2 span_fwhm line_fwhm_hz / (n_samples - 1) must be <= "
-        f"1/{GRID_STEPS_PER_WIDTH} of the narrower of line_fwhm_hz and rabi_frequency_hz"
+    line, drive = params["line_fwhm_hz"], params["rabi_frequency_hz"]
+    width = 2.0 * params["span_fwhm"] * line  # the grid spans +-span_fwhm line widths
+    if math.isfinite(width):  # else EnsembleSpec names span_fwhm
+        resolve = GRID_STEPS_PER_WIDTH * width / (line if params.get("ideal_pulses") else min(line, drive))
+        window = harmonic * width * window_s / GRID_PERIOD_SHARE  # the grid steps each limit needs
+        if max(resolve, window) > params["n_samples"] - 1:
+            need = f"n_samples >= {np.ceil(max(resolve, window)) + 1:.15g}"
+            if window > resolve:
+                raise ValueError(
+                    f"{need} resolves this window, or {window_key} must be shorter: it may span {GRID_PERIOD_SHARE} "
+                    f"of the period 1/({harmonic} delta) at which the detuning grid's trace revives, for the detuning "
+                    "step delta = 2 span_fwhm line_fwhm_hz / (n_samples - 1)"
+                )
+            raise ValueError(
+                f"{need} resolves the line: the detuning step 2 span_fwhm line_fwhm_hz / (n_samples - 1) must be <= "
+                f"1/{GRID_STEPS_PER_WIDTH} of line_fwhm_hz and, for finite pulses, of rabi_frequency_hz"
+            )
+    spec = bloch.EnsembleSpec(
+        detuning_line=spectra.LineShape(params["line_kind"], line),
+        rabi_spread=bloch.AmplitudeSpread(params["amplitude_spread"]),
+        n_samples=params["n_samples"],
+        span_fwhm=params["span_fwhm"],
     )
+    return spec, 2.0 * math.pi * drive
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +212,11 @@ def _check_detuning_grid(params, harmonic: int, window_key: str, window_s: float
 
 def _build_rabi(params):
     f_set = params["rabi_frequency_hz"]
-    omega = 2.0 * math.pi * f_set
     window = params["trace_periods"] / f_set
     t = _grid(np.linspace, 0.0, window, params["trace_points"], "trace_points", "trace_periods")
     if not params["trace_points"] - 1 > 2.0 * params["trace_periods"]:  # Nyquist
         raise ValueError("trace_points must exceed 2 trace_periods + 1, or the trace aliases the drive")
-    _check_detuning_grid(params, 1, "trace_periods", window)
-    spec = _ensemble_from(params)
+    spec, omega = _ensemble(params, 1, "trace_periods", window)
 
     def measure():
         times, inversion = bloch.rabi_trace(spec, omega, t)
@@ -234,7 +231,7 @@ def _build_rabi(params):
             "contrast_decay_rate_hz": res.parameters["decay_rate"],
             "fit_residual_norm": res.residual_norm,
             "pi_fidelity_line_avg": bloch.pi_fidelity_avg(omega, spec),
-            "pi_fidelity_center": bloch.pi_fidelity_center(omega, spec.rabi_spread),
+            "pi_fidelity_center": bloch.pi_fidelity_center(spec.rabi_spread),
         }
         return summary, ("time_s", "inversion", times, inversion)
 
@@ -243,9 +240,7 @@ def _build_rabi(params):
 
 def _build_ramsey(params):
     taus = _grid(np.linspace, 0.0, params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
-    _check_detuning_grid(params, 1, "tau_max_s", params["tau_max_s"])
-    spec = _ensemble_from(params)
-    omega = 2.0 * math.pi * params["rabi_frequency_hz"]
+    spec, omega = _ensemble(params, 1, "tau_max_s", params["tau_max_s"])
 
     def measure():
         x, sig = bloch.ramsey_trace(spec, omega, taus, t2=params["t2_s"], ideal_pulses=params["ideal_pulses"])
@@ -269,7 +264,6 @@ ECHO_FLOOR = 1e-12
 
 
 def _build_echo(params):
-    omega = 2.0 * math.pi * params["rabi_frequency_hz"]
     if not params["tau_min_s"] < params["tau_max_s"]:  # a zero span holds no time constant
         raise ValueError("tau_min_s must be < tau_max_s")
     if not math.exp(-2.0 * params["tau_min_s"] / params["t2_s"]) >= ECHO_FLOOR:
@@ -278,9 +272,8 @@ def _build_echo(params):
             f"{ECHO_FLOOR:.0e}, where the ensemble sums round"
         )
     taus = _grid(np.linspace, params["tau_min_s"], params["tau_max_s"], params["tau_points"], "tau_points", "tau_max_s")
-    # ideal pulses refocus every detuning, so nothing revives
-    _check_detuning_grid(params, 2, "tau_max_s", 0.0 if params["ideal_pulses"] else params["tau_max_s"])
-    spec = _ensemble_from(params)
+    # ideal pulses rephase every detuning at 2 tau, so nothing revives
+    spec, omega = _ensemble(params, 0 if params["ideal_pulses"] else 2, "tau_max_s", params["tau_max_s"])
 
     def measure():
         x2, amp = bloch.echo_trace(spec, omega, taus, params["t2_s"], ideal_pulses=params["ideal_pulses"])
@@ -451,7 +444,7 @@ def _build_heating_budget(params):
     return measure
 
 
-_PRESET = Param(geometry.GROUND_CONFIG, kind="str", choices=PRESETS)
+_PRESET = Param(geometry.GROUND_CONFIG, choices=PRESETS)
 
 EXPERIMENTS = {
     "rabi": (
@@ -459,7 +452,7 @@ EXPERIMENTS = {
         {
             **_ensemble_params(),
             "trace_periods": Param(15.0, minimum=1.0),
-            "trace_points": Param(2001, kind="int", minimum=16),
+            "trace_points": Param(2001, minimum=16),
         },
     ),
     "ramsey": (
@@ -467,8 +460,8 @@ EXPERIMENTS = {
         {
             **_ensemble_params(),
             "tau_max_s": Param(2e-7, minimum=1e-12),
-            "tau_points": Param(401, kind="int", minimum=16),
-            "ideal_pulses": Param(False, kind="bool"),
+            "tau_points": Param(401, minimum=16),
+            "ideal_pulses": Param(False),
             "t2_s": Param(math.inf, minimum=1e-12),
         },
     ),
@@ -478,8 +471,8 @@ EXPERIMENTS = {
             **_ensemble_params(),
             "tau_min_s": Param(1e-8, minimum=0.0),
             "tau_max_s": Param(1.5e-6, minimum=1e-12),
-            "tau_points": Param(201, kind="int", minimum=16),
-            "ideal_pulses": Param(False, kind="bool"),
+            "tau_points": Param(201, minimum=16),
+            "ideal_pulses": Param(False),
             "t2_s": Param(1e-6, minimum=1e-12),
         },
     ),
@@ -489,7 +482,7 @@ EXPERIMENTS = {
             **_rate_params(200.0),
             "wait_min_s": Param(1e-4, minimum=1e-9),
             "wait_max_s": Param(0.4, minimum=1e-6),
-            "wait_points": Param(61, kind="int", minimum=21),
+            "wait_points": Param(61, minimum=21),
         },
     ),
     "pumping-efficiency": (
@@ -497,7 +490,7 @@ EXPERIMENTS = {
         {
             **_rate_params(2000.0),
             "line_fwhm_hz": Param(9e6, minimum=1e-3),
-            "line_kind": Param("lorentzian", kind="str", choices=spectra.LINE_KINDS),
+            "line_kind": Param("lorentzian", choices=spectra.LINE_KINDS),
             "baseline_absorption": Param(0.04),
             "probe_width_hz": Param(0.5e6, minimum=1.0),
         },
@@ -510,7 +503,7 @@ EXPERIMENTS = {
             "insertion_loss_db": Param(5.0, minimum=0.0),
             "conversion_t_per_sqrt_w": Param(resonator.calibrate_conversion(), minimum=1e-12),
             "span_hz": Param(600e6, minimum=1.0),
-            "points": Param(1201, kind="int", minimum=32),
+            "points": Param(1201, minimum=32),
         },
     ),
     "heating-budget": (
@@ -521,7 +514,7 @@ EXPERIMENTS = {
             "p_peak_w": Param(100.0, minimum=1e-12),  # no drive leaves the rate unbounded
             "pulse_len_s": Param(33e-9, minimum=1e-12),
             "rep_period_s": Param(2e-3, minimum=1e-12),
-            "points": Param(101, kind="int", minimum=8),
+            "points": Param(101, minimum=8),
         },
     ),
 }
@@ -570,12 +563,12 @@ def build_config(
     if file_experiment != experiment:
         raise ConfigError("experiment", f"config is for {file_experiment!r}, not {experiment!r}")
 
-    preset = _PRESET.parse("preset", raw.pop("preset")) if "preset" in raw else _PRESET.default
+    preset = _PRESET.parse("preset", raw.pop("preset"), str) if "preset" in raw else _PRESET.default
     params = {name: spec.resolve_default(preset) for name, spec in schema.items()}
     for key, value in raw.items():
         if key not in schema:
             raise ConfigError(key, f"unknown key for experiment {experiment!r}")
-        params[key] = schema[key].parse(key, value)
+        params[key] = schema[key].parse(key, value, type(params[key]))
 
     try:
         measure = build(params)

@@ -164,7 +164,6 @@ def _pair_seed(u, v):
 _SINGLES = np.arange(16)[None]
 _PAIRS = np.array(np.triu_indices(128, 1))  # the biexponential's candidates: rates i < j
 _DEPENDENT = 1e-9  # least share of a column's squared norm outside the offset and the earlier columns
-_TRIANGLE = {1: ((0, 0),), 2: ((0, 0), (0, 1), (1, 1))}  # the upper triangle of a 1 x 1 or 2 x 2 matrix
 # Seed candidates solved per call.  Their arrays stay at 8 KiB, so a seed leaves glibc no heap top to trim
 # and fault back in on the next one: all 8,128 biexponential pairs at once cost 222 minor faults per seed.
 _BLOCK = 1024
@@ -205,8 +204,8 @@ def _dot(a, b):
 def _solve(g, b, sq, dependent):
     """Least squares on one or two centered columns and the offset, in closed form over any trailing axes.
 
-    ``g`` is the upper triangle of the columns' centered Gram matrix, (00,)
-    or (00, 01, 11) as :data:`_TRIANGLE` orders it; ``b`` holds their
+    ``g`` is the columns' centered Gram matrix, 1 x 1 or 2 x 2, of which
+    ``g[0][0]``, ``g[0][1]`` and ``g[1][1]`` are read; ``b`` holds their
     products with the centered data and ``sq`` their squared norms before
     centering, one entry per column.  Eliminating in column order leaves
     each column a pivot, the part of its squared norm outside the offset and
@@ -215,16 +214,16 @@ def _solve(g, b, sq, dependent):
     single exponential.  Returns the amplitudes (k, ...), the squared norm
     of the data they explain, and whether every column was kept.
     """
-    keep = g[0] > dependent * sq[0]
-    pivot = np.where(keep, g[0], np.inf)[()]  # a dropped column's amplitude is zero; [()] keeps a scalar one
+    keep = g[0][0] > dependent * sq[0]
+    pivot = np.where(keep, g[0][0], np.inf)[()]  # a dropped column's amplitude is zero; [()] keeps a scalar one
     if len(g) == 1:
         a0 = b[0] / pivot
         return np.array([a0]), a0 * b[0], keep
-    lower = g[1] / pivot
-    pivot1 = g[2] - lower * g[1]
+    lower = g[0][1] / pivot
+    pivot1 = g[1][1] - lower * g[0][1]
     keep1 = pivot1 > dependent * sq[1]
     a1 = (b[1] - lower * b[0]) / np.where(keep1, pivot1, np.inf)[()]
-    a0 = (b[0] - g[1] * a1) / pivot
+    a0 = (b[0] - g[0][1] * a1) / pivot
     return np.array([a0, a1]), a0 * b[0] + a1 * b[1], keep & keep1
 
 
@@ -260,9 +259,10 @@ def _seed(basis, cands, fixed, u, v):
         full = np.einsum("ni,nj->ij", ct, ct)
     scores = []
     for co in np.split(cols_of, range(_BLOCK, cols_of.shape[1], _BLOCK), axis=1):
-        gram = [centered_sq[co[0]]]
+        gram = [[centered_sq[co[0]]]]
         if len(co) == 2:
-            gram += [full[co[0], co[1]] if shared else _dot(cols[co[0]], cols[co[1]]), centered_sq[co[1]]]
+            cross = full[co[0], co[1]] if shared else _dot(cols[co[0]], cols[co[1]])
+            gram = [[gram[0][0], cross], [cross, centered_sq[co[1]]]]
         _, explained, ok = _solve(gram, b[co], sq[co], _DEPENDENT)
         scores.append(np.where(ok, explained, -1.0))
     return np.concatenate([fixed, g[cands[:, int(np.argmax(np.concatenate(scores)))]]])
@@ -278,7 +278,7 @@ def _project(cols, v):
     centered, vc = cols - mean[..., None], v - v_mean
     gram, b = np.einsum("...in,...jn->ij...", centered, centered), np.einsum("...in,n->i...", centered, vc)
     sq = np.einsum("...in,...in->i...", cols, cols)
-    alpha = _solve([gram[s, t] for s, t in _TRIANGLE[len(b)]], b, sq, _DEPENDENT)[0]
+    alpha = _solve(gram, b, sq, _DEPENDENT)[0]
     return alpha, v_mean - np.einsum("i...,...i->...", alpha, mean), vc - np.einsum("i...,...in->...n", alpha, centered)
 
 
@@ -317,7 +317,7 @@ def _levenberg_marquardt(residual, q, model):
                 return q, r
             # the damped system is positive definite, so no parameter is dropped
             m = a + damping * scale
-            step = -_solve([m[s, t] for s, t in _TRIANGLE[len(q)]], grad, diag, 0.0)[0]
+            step = -_solve(m, grad, diag, 0.0)[0]
             # the reduction of |r|^2 the linear model predicts
             flat = not -_dot(2.0 * grad + np.einsum("ij,j->i", a, step), step) > _FTOL * rr
             trial = residual(q + step)
@@ -328,7 +328,7 @@ def _levenberg_marquardt(residual, q, model):
                 return q, r
             damping *= 10.0
         q, r, damping = q + step, trial, max(damping / 10.0, 1e-12)
-        if flat or np.all(np.abs(_solve([a[s, t] for s, t in _TRIANGLE[len(q)]], grad, diag, 0.0)[0]) <= tol):
+        if flat or np.all(np.abs(_solve(a, grad, diag, 0.0)[0]) <= tol):
             return q, r
 
 
@@ -415,7 +415,7 @@ def fit(trace, model: str) -> FitResult:
     # search's step solves it: the full model's q block to first order in the residual (Golub and Pereyra),
     # carried to the named parameters with the amplitudes fixed
     a, rr, k = np.einsum("in,jn->ij", jac, jac), _dot(r, r), len(q)
-    cov = rr / max(len(u) - len(names), 1) * _solve([a[s, t] for s, t in _TRIANGLE[k]], np.eye(k), a.diagonal(), 0.0)[0]
+    cov = rr / max(len(u) - len(names), 1) * _solve(a, np.eye(k), a.diagonal(), 0.0)[0]
 
     def named_of(t):
         return np.stack(np.broadcast_arrays(*named(t, alpha, offset)), axis=-1)

@@ -144,7 +144,7 @@ class TestRabiTrace:
 
 class TestPiFidelityCenter:
     def test_zero_spread_is_unity(self):
-        assert bloch.pi_fidelity_center(OMEGA_GROUND, bloch.AmplitudeSpread(0.0)) == 1.0
+        assert bloch.pi_fidelity_center(bloch.AmplitudeSpread(0.0)) == 1.0
 
     def test_fixed_amplitude_error_closed_form(self):
         # single member at relative error delta: infidelity sin^2(pi delta / 2)
@@ -156,7 +156,7 @@ class TestPiFidelityCenter:
         assert infidelity == pytest.approx(9.9e-4, abs=2e-5)
 
     def test_one_percent_spread_penalty_is_tiny(self):
-        fid = bloch.pi_fidelity_center(OMEGA_GROUND, bloch.AmplitudeSpread(0.01))
+        fid = bloch.pi_fidelity_center(bloch.AmplitudeSpread(0.01))
         assert fid >= 0.999
 
     @pytest.mark.parametrize("hw", [0.01, 0.05, 0.2, 1.0])
@@ -164,7 +164,7 @@ class TestPiFidelityCenter:
         """The closed form against an independent quadrature of sin^2(pi a / 2) over the uniform spread."""
         with mpmath.workdps(30):
             exact = mpmath.quad(lambda a: mpmath.sin(mpmath.pi * a / 2) ** 2, [1 - hw, 1 + hw]) / (2 * hw)
-        fid = bloch.pi_fidelity_center(OMEGA_GROUND, bloch.AmplitudeSpread(hw))
+        fid = bloch.pi_fidelity_center(bloch.AmplitudeSpread(hw))
         assert fid == pytest.approx(float(exact), rel=4e-16)
 
 
@@ -500,8 +500,8 @@ class TestTrigSum:
         t, f, c = case
         direct = (c * np.exp(1j * np.multiply.outer(t, f))).sum(axis=1)
         got = bloch._trig_sum(t, f, c)
-        assert np.iscomplexobj(got) == np.iscomplexobj(c)
-        assert np.max(np.abs(got - (direct if np.iscomplexobj(c) else direct.real))) <= 1e-13
+        assert np.iscomplexobj(got)
+        assert np.max(np.abs(got - direct)) <= 1e-13
 
     @given(trig_sums(), st.floats(0.0, 1.0))
     def test_merged_members_give_the_same_sum(self, case, share):
@@ -536,7 +536,9 @@ class TestTrigSum:
         1.0 (phase + sqrt(N)) eps sum|c|, ``phase = max|f| max|t|``: the
         factored grid is within an ulp or two of t, which costs phase eps,
         and a power of a rounded ``exp(i f dt)`` carries its error up to
-        sqrt(N) times.  The bound is twice that.  ``chunked`` sends the sum
+        sqrt(N) times.  The bound is twice that, plus a few subnormal ulps per
+        rounding for coefficients below the normal range, where rounding is
+        absolute rather than relative.  ``chunked`` sends the sum
         through the product in several frequency blocks: a table of one
         element leaves each merged frequency a pair of tables of its own,
         whose products are added up.
@@ -549,9 +551,11 @@ class TestTrigSum:
         phase = np.multiply.outer(t.astype(np.longdouble), f.astype(np.longdouble))
         cl = c.astype(np.clongdouble)
         ref = (np.cos(phase) * cl + 1j * np.sin(phase) * cl).sum(axis=1)
-        ref = ref.astype(complex) if np.iscomplexobj(c) else ref.real.astype(float)
+        ref = ref.astype(complex)
         bound = 2.0 * (np.abs(f).max() * np.abs(t).max() + math.sqrt(t.size)) * np.finfo(float).eps
-        assert np.max(np.abs(got - ref)) <= bound * np.abs(c).sum()
+        # where the sum is subnormal, each of its m (log2 N + 2) or so roundings errs by up to a subnormal ulp
+        floor = 2.0 * f.size * (math.log2(t.size) + 2.0) * np.finfo(float).smallest_subnormal
+        assert np.max(np.abs(got - ref)) <= bound * np.abs(c).sum() + floor
 
 
 rates = st.one_of(st.just(0.0), st.floats(-1e9, 1e9))  # rad/s
@@ -600,13 +604,12 @@ class TestPulse:
         (lambda: bloch.EnsembleSpec(span_fwhm=0.0), "span_fwhm must be > 0"),
         (lambda: bloch.EnsembleSpec(span_fwhm=1.7e308), "span_fwhm = 1.7e\\+308 .* no finite grid ends"),
         (lambda: bloch.rabi_trace(spec_no_spread(n=11), OMEGA_GROUND, []), "t_grid must be a non-empty 1-d array"),
-        (lambda: bloch.pi_fidelity_center(0.0, bloch.AmplitudeSpread()), "rabi must be > 0"),
         (lambda: bloch.pi_fidelity_avg(0.0, spec_no_spread(n=11)), "rabi must be > 0"),
         (lambda: bloch.ramsey_trace(spec_no_spread(n=11), 0.0, np.linspace(0.0, 1e-7, 16)), "rabi must be > 0"),
     ],
     ids=[
         "pulse-rabi", "pulse-duration", "spread", "no-nodes", "zero-span", "span-overflow", "empty-time-axis",
-        "center-rabi", "average-rabi", "two-pulse-rabi",
+        "average-rabi", "two-pulse-rabi",
     ],
 )
 def test_inputs_are_checked(call, message):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -155,6 +156,11 @@ class TestExitCodes:
             pytest.param(["rabi", "--set", "span_fwhm=1.7e308", "--set", "n_samples=101"], "span_fwhm",
                          marks=pytest.mark.filterwarnings("error")),
             (["resonator", "--set", f"f0_hz={FLOAT_MAX}", "--set", "span_hz=1e308"], "f0_hz"),
+            # a line whose grid needs some 4e295 nodes, and a window on a one-node grid, which has no period
+            (["ramsey", "--set", "line_fwhm_hz=1e300"], "n_samples"),
+            (["ramsey", "--set", "n_samples=1", "--set", "tau_max_s=1e-3"], "tau_max_s"),
+            # below it, a Lorentzian cut nearer its center takes the traces past 1e-4 of a finer grid
+            (["rabi", "--set", "span_fwhm=1"], "span_fwhm"),
         ],
         ids=[
             "wait-order", "wait-overflow", "wait-overflow-one-line", "tau-order", "echo-zero-span",
@@ -167,13 +173,30 @@ class TestExitCodes:
             "ramsey-grid-period", "rabi-grid-period", "rabi-low-drive", "ramsey-grid-period-coarse",
             "echo-grid-period", "ramsey-one-node", "rabi-coarse-gaussian", "gaussian-two-nodes",
             "wait-rate-time-overflow", "detuning-span-overflow", "resonator-infinite-end",
+            "huge-n-samples", "one-node-window", "narrow-span",
         ],
     )
     def test_build_rejects_inputs_its_grids_cannot_take(self, tmp_path, capsys, argv, key):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err and "RuntimeWarning" not in err
+        # the detuning rule names an n_samples a reader can take in, and no period that the grid does not have
+        assert not re.search(r"n_samples >= \d{16}| 0 s period", err)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("experiment", ["ramsey", "echo"])
+    def test_ideal_pulses_take_no_drive(self, tmp_path, experiment):
+        """The grid rule counts rabi_frequency_hz for finite pulses only: ideal ones run any drive, to the same trace.
+
+        At 2 MHz finite pulses need 2,881 detuning nodes.
+        """
+        traces = []
+        for drive in ([], ["--set", "rabi_frequency_hz=2e6"]):
+            out = tmp_path / f"drive{len(drive)}"
+            argv = [experiment, "--set", "ideal_pulses=true", "--set", "n_samples=641", "--set", "tau_points=16"]
+            assert cli.main([*argv, *drive, "--out", str(out)]) == 0
+            traces.append(read_trace_csv(out / f"{experiment}_trace.csv"))
+        assert all(np.array_equal(a, b) for a, b in zip(*traces))
 
     @pytest.mark.parametrize(
         "argv, stall, message",
@@ -183,10 +206,8 @@ class TestExitCodes:
             (["pumping-efficiency", "--set", "pump_rate_flip=0"], None, "area_ratio_same_burn_populations"),
             # the response underflows to zero, so the fitted peak has no loss in dB
             (["resonator", "--set", "insertion_loss_db=1.49e7"], None, "insertion_loss_db"),
-            # a drive as wide as the line, so that the grid resolves it, and ideal pulses, as a finite-pulse echo on
-            # this line resolves no window
-            (["echo", "--set", "line_fwhm_hz=1e300", "--set", "rabi_frequency_hz=1e300", "--set", "ideal_pulses=true"],
-             None, "overflow"),
+            # ideal pulses, whose drive the grid need not resolve; a finite-pulse echo on this line resolves no window
+            (["echo", "--set", "line_fwhm_hz=1e300", "--set", "ideal_pulses=true"], None, "overflow"),
             # f0_hz +- span_hz / 2 rounds to f0_hz: the sweep has one frequency
             (["resonator", "--set", "f0_hz=1e300"], None, "all equal"),
             (["pumping-efficiency", "--set", "line_fwhm_hz=1e308"], None, "overflow"),
@@ -265,7 +286,8 @@ odd_floats = st.one_of(
 @st.composite
 def fuzzed_sets(draw, experiment):
     """``--set`` arguments giving up to three float keys of ``experiment`` odd values."""
-    keys = sorted(key for key, param in experiments.EXPERIMENTS[experiment][1].items() if param.kind == "float")
+    schema = experiments.EXPERIMENTS[experiment][1]
+    keys = sorted(key for key, param in schema.items() if type(param.resolve_default(experiments.PRESETS[0])) is float)
     values = draw(st.dictionaries(st.sampled_from(keys), odd_floats, min_size=1, max_size=3))
     return [arg for key, value in values.items() for arg in ("--set", f"{key}={value!r}")]
 

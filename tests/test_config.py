@@ -22,16 +22,21 @@ def serialize_config(mapping):
     return "".join(f"{key} = {value}\n" for key, value in {"schema_version": SCHEMA_VERSION, **mapping}.items())
 
 
+def kind_of(param):
+    """The type a value of ``param`` parses as: that of its default."""
+    return type(param.resolve_default(experiments.PRESETS[0]))
+
+
 def value_of(param):
     """Values ``param`` accepts: a choice, a bool, or a number at or above its minimum.
 
-    A number is infinite only where the default is.
+    Its type is that of its default; a number is infinite only where the default is.
     """
     if param.choices is not None:
         return st.sampled_from(param.choices)
-    if param.kind == "bool":
+    if kind_of(param) is bool:
         return st.booleans()
-    if param.kind == "int":
+    if kind_of(param) is int:
         return st.integers(min_value=None if param.minimum is None else math.ceil(param.minimum))
     return st.floats(min_value=param.minimum, allow_nan=False, allow_infinity=param.default == math.inf)
 
@@ -65,7 +70,7 @@ class TestParsing:
         once = parse_config_text(text)
         assert parse_config_text(serialize_config(once)) == once
         schema = {"preset": experiments._PRESET, **experiments.EXPERIMENTS[experiment][1]}
-        assert {key: schema[key].parse(key, raw) for key, raw in once.items()} == values
+        assert {key: schema[key].parse(key, raw, kind_of(schema[key])) for key, raw in once.items()} == values
 
     def test_missing_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -104,9 +109,14 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="preset"):
             experiments.build_config("rabi", set_overrides={"preset": "sideways-config"})
 
-    def test_bad_value_is_named(self):
-        with pytest.raises(ConfigError, match="n_samples"):
-            experiments.build_config("rabi", set_overrides={"n_samples": "many"})
+    @pytest.mark.parametrize(
+        "key, raw, kind",
+        [("n_samples", "many", "int"), ("span_fwhm", "wide", "float"), ("ideal_pulses", "yes", "bool")],
+    )
+    def test_bad_value_is_named(self, key, raw, kind):
+        # a value parses as the type of its key's default
+        with pytest.raises(ConfigError, match=f"{key}: cannot parse '{raw}' as {kind}: "):
+            experiments.build_config("ramsey", set_overrides={key: raw})
 
     def test_range_violation_is_named(self):
         with pytest.raises(ConfigError, match="trace_points"):

@@ -194,7 +194,7 @@ def least_n_samples(experiment, sets, key="n_samples"):
         # detuning steps wider than 1/16 of the line, or of the Rabi frequency
         ("rabi", {"n_samples": "301"}, "line_fwhm_hz"),
         ("ramsey", {"line_fwhm_hz": "6e7"}, "line_fwhm_hz"),
-        ("echo", {"ideal_pulses": "true", "rabi_frequency_hz": "2e6"}, "rabi_frequency_hz"),
+        ("echo", {"rabi_frequency_hz": "2e6"}, "rabi_frequency_hz"),
     ],
     ids=["ramsey-window", "echo-window", "rabi-window", "rabi-low-drive", "rabi-line", "ramsey-line", "echo-drive"],
 )
@@ -211,10 +211,9 @@ def test_ideal_pulse_echo_has_no_window_limit():
 
 
 # The largest distance, absolute in the trace and relative in the pi fidelity, between a rabi run on a grid the
-# build admits and the same run on a four-times finer one: three times the 9.9e-6 and 1.1e-6 measured over 300
-# draws of the test below (CHANGES.md).  Spans stay at 5 widths or more: on a line cut off nearer its center the
-# trapezoid's error at the cut, second order in the step, dominates (2.2e-3 in the trace at 1 width).
-TRACE_TOLERANCE, PI_FIDELITY_TOLERANCE = 3e-5, 3e-6
+# build admits and the same run on a four-times finer one: three times the 4.2e-7 and 3.6e-8 measured over 600
+# draws of the test below (CHANGES.md).  Spans go from the schema's least to the default.
+TRACE_TOLERANCE, PI_FIDELITY_TOLERANCE = 1.3e-6, 1.1e-7
 
 
 @settings(max_examples=100)
@@ -222,7 +221,7 @@ TRACE_TOLERANCE, PI_FIDELITY_TOLERANCE = 3e-5, 3e-6
     kind=st.sampled_from(spectra.LINE_KINDS),
     line_fwhm=st.floats(2e6, 2e7),
     drive=st.floats(5e6, 3e7),
-    span=st.floats(5.0, 20.0),
+    span=st.floats(experiments.EXPERIMENTS["rabi"][1]["span_fwhm"].minimum, 20.0),
     periods=st.floats(1.0, 20.0),
     spread=st.floats(0.0, 0.05),
     extra=st.integers(0, 100),
@@ -237,9 +236,9 @@ def test_admitted_rabi_grids_agree_with_a_finer_one(kind, line_fwhm, drive, span
     pi_fidelity, trace = [], []
     for m in (n, 4 * n - 3):  # the coarse nodes are every fourth fine one
         params = experiments.build_config("rabi", set_overrides={**sets, "n_samples": str(m)}).params
-        spec = experiments._ensemble_from(params)
-        pi_fidelity.append(bloch.pi_fidelity_avg(2.0 * math.pi * drive, spec))
-        trace.append(bloch.rabi_trace(spec, 2.0 * math.pi * drive, t)[1])
+        spec, omega = experiments._ensemble(params, 1, "trace_periods", periods / drive)
+        pi_fidelity.append(bloch.pi_fidelity_avg(omega, spec))
+        trace.append(bloch.rabi_trace(spec, omega, t)[1])
     assert np.abs(trace[0] - trace[1]).max() <= TRACE_TOLERANCE
     assert pi_fidelity[0] == pytest.approx(pi_fidelity[1], rel=PI_FIDELITY_TOLERANCE)
 

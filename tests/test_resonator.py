@@ -119,7 +119,7 @@ class TestHeatingBudget:
 class TestFieldHomogeneity:
     def test_fidelity_penalty_below_1e3(self):
         # a 2% peak-to-peak field variation: Rabi amplitudes uniform within +-1%
-        fid = bloch.pi_fidelity_center(2.0 * math.pi * 14.9e6, bloch.AmplitudeSpread(0.01))
+        fid = bloch.pi_fidelity_center(bloch.AmplitudeSpread(0.01))
         assert 1.0 - fid <= 1e-3
 
     def test_validation(self):
